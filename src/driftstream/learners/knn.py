@@ -2,36 +2,102 @@
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Sequence
+from typing import Optional, Sequence
 
-from ..core import Instance, RunningStats
-from .base import BatchLearner, Learner, argmax_lowest
+import numpy as np
+
+from ..core import FeatureSchema, Instance, RunningStats
+from .base import BatchLearner, Learner
 
 _STD_FLOOR = 1e-12
 
 
-def _mixed_distance_sq(a: Sequence[float], b: Sequence[float],
-                       numeric_scale: dict[int, tuple[float, float]],
-                       categorical: frozenset[int]) -> float:
-    """Squared distance: z-scaled numerics, 0/1 mismatch on categoricals."""
-    total = 0.0
-    for i, (va, vb) in enumerate(zip(a, b)):
-        if i in categorical:
-            if va != vb:
-                total += 1.0
-        else:
-            mean, std = numeric_scale[i]
-            d = (va - vb) / std
-            total += d * d
-    return total
+def _floored(std: float) -> float:
+    return std if std > _STD_FLOOR else 1.0
+
+
+class _NeighbourStore:
+    """Training rows of a kNN learner and the vote over the k nearest.
+
+    Rows live in a float64 matrix (capacity x d, one contiguous array per
+    column; numeric columns first, then categorical ones) beside an int label
+    vector. Rows are appended into a ring buffer: once full, each new row
+    overwrites the oldest one.
+
+    The squared distance from a query to each row is accumulated column by
+    column in feature order: a numeric column adds ``((x_i - col) / std_i) ** 2``
+    and a categorical column adds ``col != x_i``. A row-wise ``sum`` would
+    round differently; this order gives the same bits as adding the terms of
+    one row in a scalar loop.
+    """
+
+    def __init__(self, schema: FeatureSchema, capacity: int):
+        numeric = schema.numeric_indexes()
+        self._columns = numeric + schema.categorical_indexes()  # feature of each column
+        self._column_of = [self._columns.index(i) for i in range(schema.n_features)]
+        self._n_numeric = len(numeric)
+        self._n_classes = schema.n_classes
+        self._X = np.empty((capacity, schema.n_features), order="F")
+        self._y = np.empty(capacity, dtype=np.intp)
+        self._size = 0
+        self._head = 0  # the next slot to write; the oldest row once full
+
+    def append(self, x: Sequence[float], y: int) -> None:
+        self._X[self._head] = [x[i] for i in self._columns]
+        self._y[self._head] = y
+        self._head = (self._head + 1) % len(self._y)
+        self._size = min(self._size + 1, len(self._y))
+
+    def _oldest_first(self, values: np.ndarray) -> np.ndarray:
+        """Per-row values of the filled slots, reordered oldest row first."""
+        if self._size < len(self._y) or self._head == 0:
+            return values[: self._size]
+        return np.concatenate((values[self._head:], values[: self._head]))
+
+    def rows(self) -> list[tuple[list[float], int]]:
+        X = self._oldest_first(self._X)[:, self._column_of]
+        return list(zip(X.tolist(), self._oldest_first(self._y).tolist()))
+
+    def distances(self, x: Sequence[float], std: Sequence[float]) -> np.ndarray:
+        """Squared distance from x to each row, oldest row first; ``std``
+        scales the numeric features, in feature order."""
+        n, p = self._size, self._n_numeric
+        X = self._X[:n]
+        query = np.array([x[i] for i in self._columns], dtype=float)
+        terms = np.empty(X.shape, order="F")
+        np.subtract(query[:p], X[:, :p], out=terms[:, :p])
+        terms[:, :p] /= std
+        terms[:, :p] *= terms[:, :p]
+        np.not_equal(X[:, p:], query[p:], out=terms[:, p:])
+        total = np.zeros(n)
+        for j in self._column_of:
+            total += terms[:, j]
+        return self._oldest_first(total)
+
+    def vote(self, x: Sequence[float], std: Sequence[float], k: int) -> int:
+        """Majority class of the k nearest rows. Equal distances go to the
+        older row (the order of a stable sort over rows oldest first); a tied
+        vote goes to the lowest class."""
+        total = self.distances(x, std)
+        # The k smallest in stable order: every row at most the k-th smallest
+        # distance, in row order, then a stable sort of those few.
+        last = min(k, len(total)) - 1
+        kth = np.partition(total, last)[last]
+        near = np.flatnonzero(total <= kth)
+        near = near[np.argsort(total[near], kind="stable")[:k]]
+        votes = np.bincount(self._oldest_first(self._y)[near], minlength=self._n_classes)
+        return int(np.argmax(votes))
 
 
 class KnnWindow(Learner):
     """kNN over a bounded window of recent samples.
 
-    Numeric features are z-standardized with running mean/std over everything
-    seen so far; categorical features contribute 0/1 mismatch. The window
+    The squared distance to a stored sample sums, in feature order, the
+    squared z-scored difference of each numeric feature and 1 for each
+    categorical feature whose value differs. Numeric features are scaled by
+    the running std over everything seen so far (not only the window); a std
+    of at most 1e-12 counts as 1. The k nearest samples vote; equal distances
+    go to the older sample and a tied vote to the lowest class. The window
     evicts the oldest sample once full, which bounds memory.
     """
 
@@ -43,36 +109,31 @@ class KnnWindow(Learner):
         if k < 1 or window < 1:
             raise ValueError("k and window must be >= 1")
         self.k = k
-        self.window: deque[tuple[list[float], int]] = deque(maxlen=window)
-        self._stats = {i: RunningStats() for i in schema.numeric_indexes()}
-        self._categorical = frozenset(schema.categorical_indexes())
+        self._store = _NeighbourStore(schema, window)
+        self._stats = [(i, RunningStats()) for i in schema.numeric_indexes()]
 
-    def _scale(self) -> dict[int, tuple[float, float]]:
-        return {
-            i: (st.mean, st.std() if st.std() > _STD_FLOOR else 1.0)
-            for i, st in self._stats.items()
-        }
+    @property
+    def window(self) -> list[tuple[list[float], int]]:
+        """The stored samples as (x, y) pairs, oldest first (a copy)."""
+        return self._store.rows()
 
     def _learn(self, inst: Instance) -> None:
-        for i, st in self._stats.items():
+        for i, st in self._stats:
             st.add(inst.x[i])
-        self.window.append((list(inst.x), inst.y))
+        self._store.append(inst.x, inst.y)
 
     def _predict(self, x: Sequence[float]) -> int:
-        scale = self._scale()
-        dists = [
-            (_mixed_distance_sq(x, wx, scale, self._categorical), wy)
-            for wx, wy in self.window
-        ]
-        dists.sort(key=lambda t: t[0])
-        votes = [0] * self.n_classes
-        for _, y in dists[: self.k]:
-            votes[y] += 1
-        return argmax_lowest(votes)
+        std = [_floored(st.std()) for _, st in self._stats]
+        return self._store.vote(x, std, self.k)
 
 
 class KnnBatch(BatchLearner):
-    """kNN over a frozen training buffer; standardization from buffer statistics."""
+    """kNN over a frozen training buffer.
+
+    Distances, scaling and tie rules are those of KnnWindow, with each
+    numeric feature scaled by its std over the training buffer and ties
+    between equal distances going to the earlier buffer row.
+    """
 
     algorithm = "knn_batch"
 
@@ -81,26 +142,19 @@ class KnnBatch(BatchLearner):
         if k < 1:
             raise ValueError("k must be >= 1")
         self.k = k
-        self._buffer: list[tuple[list[float], int]] = []
-        self._scale: dict[int, tuple[float, float]] = {}
-        self._categorical = frozenset(schema.categorical_indexes())
+        self._store: Optional[_NeighbourStore] = None
+        self._std: list[float] = []
 
     def _fit(self, buffer: list[Instance], epochs: int) -> None:
-        self._buffer = [(list(inst.x), inst.y) for inst in buffer]
+        self._store = _NeighbourStore(self.schema, len(buffer))
+        for inst in buffer:
+            self._store.append(inst.x, inst.y)
+        self._std = []
         for i in self.schema.numeric_indexes():
             st = RunningStats()
-            for x, _ in self._buffer:
-                st.add(x[i])
-            std = st.std()
-            self._scale[i] = (st.mean, std if std > _STD_FLOOR else 1.0)
+            for inst in buffer:
+                st.add(inst.x[i])
+            self._std.append(_floored(st.std()))
 
     def _predict(self, x: Sequence[float]) -> int:
-        dists = [
-            (_mixed_distance_sq(x, bx, self._scale, self._categorical), by)
-            for bx, by in self._buffer
-        ]
-        dists.sort(key=lambda t: t[0])
-        votes = [0] * self.n_classes
-        for _, y in dists[: self.k]:
-            votes[y] += 1
-        return argmax_lowest(votes)
+        return self._store.vote(x, self._std, self.k)

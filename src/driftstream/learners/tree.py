@@ -109,7 +109,19 @@ class HoeffdingTree(Learner):
         self.tau = tau
         self.max_depth = max_depth
         self.root = _Node(self.n_classes)
-        self.n_nodes = 1
+
+    @property
+    def n_nodes(self) -> int:
+        """Nodes reachable from the root, alternate subtrees included."""
+        count, stack = 0, [self.root]
+        while stack:
+            node = stack.pop()
+            count += 1
+            if node.children:
+                stack.extend(node.children)
+            if node.alternate is not None:
+                stack.append(node.alternate)
+        return count
 
     # -- learning ----------------------------------------------------------
 
@@ -233,7 +245,6 @@ class HoeffdingTree(Learner):
     def _split_node(self, node: _Node, split: _Split) -> None:
         node.split = split
         node.children = [_Node(self.n_classes, node.depth + 1) for _ in range(split.arity)]
-        self.n_nodes += split.arity
         node.num_stats.clear()
         node.num_range.clear()
         node.cat_stats.clear()
@@ -329,7 +340,6 @@ class HoeffdingAdaptiveTree(HoeffdingTree):
             alt = _Node(self.n_classes, node.depth)
             alt.adwin = Adwin(delta=self.adwin_delta)
             node.alternate = alt
-            self.n_nodes += 1
             self._events.append(("hat", "drift"))
 
         if node.is_leaf:

@@ -263,27 +263,36 @@ class MetaEnsemble(Learner):
         self.selector = selector if selector is not None else OnlineSelector(len(members))
         self.perf = PerformanceWeights(len(members), alpha)
         self._window = WindowState(hits=[0] * len(members))
+        self._answered: tuple[tuple, dict[int, int]] = ((), {})
         self.fitted = any(m.fitted for m in self.members)
 
     def _predict(self, x: Sequence[float]) -> int:
+        # Member answers for this x, which _learn reuses while no member has
+        # learned since (test-then-train asks each member once per step).
+        answers: dict[int, int] = {}
+        self._answered = (tuple(x), answers)
         if self.mode == "weighted_vote":
-            votes = [
-                (m.predict(x), w)
-                for m, w in zip(self.members, self.perf.weights)
-                if m.fitted
-            ]
+            votes = []
+            for j, (m, w) in enumerate(zip(self.members, self.perf.weights)):
+                if m.fitted:
+                    answers[j] = m.predict(x)
+                    votes.append((answers[j], w))
             if votes:
                 return ensemble_vote(votes)
-        member = self.members[self.active_index]
-        if not member.fitted:
-            for candidate in self.members:
-                if candidate.fitted:
-                    return candidate.predict(x)
-        return member.predict(x)
+        j = self.active_index
+        if not self.members[j].fitted:
+            j = next((c for c, m in enumerate(self.members) if m.fitted), j)
+        answers[j] = self.members[j].predict(x)
+        return answers[j]
 
     def _learn(self, inst: Instance) -> None:
+        answered_x, answers = self._answered
+        self._answered = ((), {})
+        if answered_x != tuple(inst.x):
+            answers = {}
         correct = [
-            int(m.fitted and m.predict(inst.x) == inst.y) for m in self.members
+            int(m.fitted and (answers[j] if j in answers else m.predict(inst.x)) == inst.y)
+            for j, m in enumerate(self.members)
         ]
         for j, c in enumerate(correct):
             self._window.hits[j] += c

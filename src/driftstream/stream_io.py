@@ -122,8 +122,9 @@ def infer_schema(dataset: DatasetFile, sample_rows: Optional[int] = None) -> Fea
                 raise DatasetError(f"{dataset.path}: column {name!r} has a single value")
             features.append(Feature(name, CATEGORICAL, len(values), values))
     classes: dict[str, None] = {}
+    label_index = dataset.label_index
     for row in dataset.rows:
-        classes.setdefault(row[dataset.label_index])
+        classes.setdefault(row[label_index])
     if len(classes) < 2:
         raise DatasetError(f"{dataset.path}: label column has fewer than 2 classes")
     return FeatureSchema(
@@ -141,6 +142,8 @@ class CsvReplayStream(InstanceStream):
         self.schema = schema
         self._dataset = dataset
         self._row = 0
+        self._feature_columns = dataset.feature_columns
+        self._label_index = dataset.label_index
         self._value_maps = [
             {v: float(i) for i, v in enumerate(f.values)} if not f.is_numeric else None
             for f in schema.features
@@ -153,7 +156,7 @@ class CsvReplayStream(InstanceStream):
         self._row += 1
         rowno = self._row
         x = []
-        for j, col in enumerate(self._dataset.feature_columns):
+        for j, col in enumerate(self._feature_columns):
             token = row[col]
             feat = self.schema.features[j]
             if feat.is_numeric:
@@ -172,7 +175,7 @@ class CsvReplayStream(InstanceStream):
                         f"{self._dataset.path}: row {rowno}: value {token!r} outside the "
                         f"declared categories of {feat.name!r}"
                     ) from None
-        label = row[self._dataset.label_index]
+        label = row[self._label_index]
         try:
             y = self.schema.class_index(label)
         except Exception:
@@ -316,7 +319,7 @@ def _decode_events(cell: str) -> list[tuple[int, str, str]]:
         return []
     out = []
     for part in cell.split("|"):
-        seq, det, status = part.split(":")
+        seq, det, status = part.split(":", 2)  # a status may hold ":" (switch:<i>)
         out.append((int(seq), det, status))
     return out
 

@@ -4,8 +4,9 @@ import time
 import pytest
 
 from driftstream.core import CATEGORICAL, Feature, FeatureSchema, Instance
-from driftstream.evaluation import MetricTrace, TraceRecord
+from driftstream.evaluation import MetricTrace, TraceRecord, run_prequential
 from driftstream.generators import AgrawalGenerator, StaggerGenerator
+from driftstream.meta import MetaEnsemble
 from driftstream.stream_io import (
     DatasetError,
     Topic,
@@ -18,6 +19,7 @@ from driftstream.stream_io import (
     write_dataset,
     write_trace,
 )
+from conftest import ONE_NUMERIC, RuleLearner, ThresholdConceptStream
 
 
 # -- schema inference ---------------------------------------------------------
@@ -232,6 +234,23 @@ def test_csv_trace_has_header_plus_row_per_record(tmp_path):
 def test_csv_round_trip_reproduces_trace(tmp_path):
     path = str(tmp_path / "t.csv")
     trace = _trace(10)
+    write_trace(trace, path, "csv")
+    back = read_trace(path)
+    assert [(r.seq, r.cum_accuracy, r.window_accuracy, r.kappa, r.drift_events,
+             r.active_learner) for r in back.records] == \
+           [(r.seq, r.cum_accuracy, r.window_accuracy, r.kappa, r.drift_events,
+             r.active_learner) for r in trace.records]
+
+
+def test_csv_round_trip_keeps_selector_switches(tmp_path):
+    experts = [RuleLearner(ONE_NUMERIC, lambda x: int(x[0] > 0.8)),
+               RuleLearner(ONE_NUMERIC, lambda x: int(x[0] > 0.4))]
+    ens = MetaEnsemble(ONE_NUMERIC, experts, mode="last_best", window=300)
+    trace = run_prequential(ThresholdConceptStream(1200, duration=600, seed=6), ens,
+                            report_every=100)
+    events = [e for r in trace.records for e in r.drift_events]
+    assert any(det == "selector" and status.startswith("switch:") for _, det, status in events)
+    path = str(tmp_path / "meta.csv")
     write_trace(trace, path, "csv")
     back = read_trace(path)
     assert [(r.seq, r.cum_accuracy, r.window_accuracy, r.kappa, r.drift_events,

@@ -1,9 +1,10 @@
 import math
 import random
+from collections import deque
 
 import pytest
 
-from driftstream.core import CATEGORICAL, Feature, FeatureSchema, Instance
+from driftstream.core import CATEGORICAL, Feature, FeatureSchema, Instance, RunningStats
 from driftstream.learners import (
     BATCH_ALGORITHMS,
     CartBatch,
@@ -19,6 +20,7 @@ from driftstream.learners import (
     RandomForestBatch,
     UnlabeledInstanceError,
     UntrainedLearnerError,
+    argmax_lowest,
     ensemble_vote,
     make_learner,
     poisson,
@@ -152,6 +154,97 @@ def test_knn_batch_memorizes_training_set():
     train_batch(knn, buffer)
     assert all(knn.predict(b.x) == b.y for b in buffer)
     assert knn.frozen
+
+
+GOLDEN = FeatureSchema(
+    features=(Feature("a"), Feature("b", CATEGORICAL, 3), Feature("const"),
+              Feature("d"), Feature("e", CATEGORICAL, 2), Feature("f"), Feature("g"),
+              Feature("h"), Feature("i")),
+    classes=("0", "1", "2"),
+)
+
+
+def _golden_row(rng):
+    # coarse rounding makes equal distances common; "const" never varies
+    return [round(rng.gauss(0.0, 1.0), 1), float(rng.randrange(3)), 2.5,
+            float(rng.randrange(4)), float(rng.randrange(2)), round(rng.gauss(0.0, 3.0), 1),
+            round(rng.random(), 1), round(rng.gauss(0.0, 1.0), 1), float(rng.randrange(3))]
+
+
+def _scalar_distances(rows, x, std):
+    """Reference squared distances, one row at a time: z-scaled numeric
+    differences squared plus 1 per categorical mismatch, added in feature order."""
+    out = []
+    for rx, _ in rows:
+        total = 0.0
+        for i, (va, vb) in enumerate(zip(x, rx)):
+            if std[i] is None:
+                if va != vb:
+                    total += 1.0
+            else:
+                d = (va - vb) / std[i]
+                total += d * d
+        out.append(total)
+    return out
+
+
+def _scalar_knn(rows, x, std, k, n_classes):
+    """Reference kNN: a stable sort (equal distances keep row order) and a
+    vote whose ties go to the lowest class."""
+    dists = sorted(zip(_scalar_distances(rows, x, std), (y for _, y in rows)),
+                   key=lambda t: t[0])
+    votes = [0] * n_classes
+    for _, y in dists[:k]:
+        votes[y] += 1
+    return argmax_lowest(votes)
+
+
+def _floored_std(stats):
+    return [None if st is None else (st.std() if st.std() > 1e-12 else 1.0) for st in stats]
+
+
+def _fresh_stats():
+    return [RunningStats() if f.is_numeric else None for f in GOLDEN.features]
+
+
+@pytest.mark.parametrize("k,window", [(1, 7), (3, 7), (7, 7), (10, 7), (5, 1), (2, 40)])
+def test_knn_window_matches_scalar_reference(k, window):
+    rng = random.Random(100 + 10 * k + window)
+    knn = KnnWindow(GOLDEN, k=k, window=window, default_class=2)
+    assert knn.predict(_golden_row(rng)) == 2  # untrained: the default class
+    rows, stats = deque(maxlen=window), _fresh_stats()
+    for step in range(400):  # the window wraps many times
+        x, y = _golden_row(rng), rng.randrange(3)
+        if rows:
+            std = _floored_std(stats)
+            assert knn.predict(x) == _scalar_knn(rows, x, std, k, 3), step
+            # bit for bit: a row-wise numpy sum would round differently
+            numeric_std = [s for s in std if s is not None]
+            assert knn._store.distances(x, numeric_std).tolist() == \
+                _scalar_distances(rows, x, std), step
+        knn.partial_fit(inst(x, y, seq=step))
+        rows.append((x, y))
+        for st, v in zip(stats, x):
+            if st is not None:
+                st.add(v)
+        assert list(knn.window) == list(rows)
+
+
+@pytest.mark.parametrize("k", [1, 4, 30, 45])
+def test_knn_batch_matches_scalar_reference(k):
+    rng = random.Random(200 + k)
+    assert KnnBatch(GOLDEN, k=k, default_class=1).predict(_golden_row(rng)) == 1
+    buffer = [inst(_golden_row(rng), rng.randrange(3), seq=i) for i in range(30)]
+    knn = train_batch(KnnBatch(GOLDEN, k=k), buffer)
+    stats = _fresh_stats()
+    for b in buffer:
+        for st, v in zip(stats, b.x):
+            if st is not None:
+                st.add(v)
+    rows = [(b.x, b.y) for b in buffer]
+    for _ in range(300):
+        x = _golden_row(rng)
+        assert knn.predict(x) == _scalar_knn(rows, x, _floored_std(stats), k, 3)
 
 
 # -- linear ---------------------------------------------------------------------

@@ -323,6 +323,45 @@ def test_meta_step_is_test_then_train():
     assert ens.active_index == 1  # expert 1 owns the only concept
 
 
+def _counted_roster(schema, counts):
+    """The default four-learner roster; with ``counts``, each member's predict
+    also adds one to its slot."""
+    members = []
+    for j, name in enumerate(("hoeffding_tree", "knn_window", "perceptron", "linear_sgd")):
+        member = make_learner(name, schema, seed=50 + j)
+        if counts is not None:
+            def counted(x, _predict=member.predict, _j=j):
+                counts[_j] += 1
+                return _predict(x)
+            member.predict = counted
+        members.append(member)
+    return members
+
+
+@pytest.mark.parametrize("mode", ["meta", "weighted_vote"])
+def test_each_member_predicts_once_per_step(mode):
+    schema = SeaGenerator.schema
+    counts = [0, 0, 0, 0]
+    ens = MetaEnsemble(schema, _counted_roster(schema, counts), mode=mode, window=40,
+                       seed=3, default_class=0)
+    # The reference asks every member again in partial_fit: a predict on
+    # another x between predict and partial_fit leaves nothing to reuse.
+    ref = MetaEnsemble(schema, _counted_roster(schema, None), mode=mode, window=40,
+                       seed=3, default_class=0)
+    got, want = [], []
+    for step, inst in enumerate(LimitedStream(SeaGenerator(seed=21), 400)):
+        counts[:] = [0, 0, 0, 0]
+        got.append((ens.predict(inst.x), ens.active_index))
+        ens.partial_fit(inst)
+        assert counts == ([0, 0, 0, 0] if step == 0 else [1, 1, 1, 1]), step
+        want.append((ref.predict(inst.x), ref.active_index))
+        ref.predict([v + 1.0 for v in inst.x])
+        ref.partial_fit(inst)
+    assert got == want
+    if mode == "meta":
+        assert len({active for _, active in got}) > 1  # the selector switched
+
+
 def test_meta_ensemble_validates_arguments():
     with pytest.raises(ValueError):
         MetaEnsemble(ONE_NUMERIC, [], mode="meta")

@@ -149,6 +149,24 @@ def test_hat_detects_switch_and_swaps_subtree():
     assert min(drift_seqs) <= 10000 + 300
 
 
+def _reachable_nodes(node):
+    """Nodes under ``node`` through children and alternate links."""
+    children = list(node.children or []) + ([node.alternate] if node.alternate else [])
+    return 1 + sum(_reachable_nodes(c) for c in children)
+
+
+def test_hat_node_count_matches_tree_after_swaps():
+    hat = HoeffdingAdaptiveTree(StaggerGenerator.schema, seed=3)
+    swaps = 0
+    for inst in _stagger_switch_stream():
+        hat.partial_fit(inst)
+        if ("hat", "swap") in hat.drain_events():
+            swaps += 1
+            assert hat.n_nodes == _reachable_nodes(hat.root), inst.seq
+    assert swaps >= 1
+    assert hat.n_nodes == _reachable_nodes(hat.root)
+
+
 def test_hat_recovers_quickly_after_switch():
     hat = HoeffdingAdaptiveTree(StaggerGenerator.schema, seed=3)
     trace = run_prequential(_stagger_switch_stream(), hat, report_every=100)
