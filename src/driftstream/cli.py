@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import statistics
@@ -14,7 +15,6 @@ from .cash import AlgorithmGrid, ConfigSpace, cash_search
 from .config import (
     ConfigError,
     auto_value,
-    get_float,
     get_int,
     get_list,
     get_str,
@@ -22,20 +22,13 @@ from .config import (
     section,
 )
 from .core import derive_seed
-from .drift import DETECTOR_PARAMS, make_detector
+from .drift import DETECTOR_KINDS, make_detector
 from .evaluation import MetricTrace, evaluate_pretrained, run_holdout, run_prequential
-from .generators import (
-    GENERATOR_FAMILIES,
-    GENERATOR_PARAMS,
-    DriftStream,
-    LimitedStream,
-    make_generator,
-)
-from .learners import BATCH_ALGORITHMS, LEARNER_PARAMS, make_learner, train_batch
+from .generators import GENERATOR_FAMILIES, DriftStream, LimitedStream, make_generator
+from .learners import BATCH_ALGORITHMS, LEARNER_REGISTRY, make_learner, train_batch
 from .meta import MetaEnsemble
 from .stream_io import (
     DatasetError,
-    Topic,
     infer_schema,
     read_dataset,
     replay_csv,
@@ -51,29 +44,64 @@ _CONCEPT_FAMILIES = ("agrawal", "stagger", "sea")
 
 
 # ---------------------------------------------------------------------------
+# parameters
+
+def _constructor_params(cls) -> dict:
+    """The defaulted parameters of ``cls``'s constructor with their defaults,
+    except ``schema`` and ``seed``, which the runner supplies."""
+    return {
+        name: param.default
+        for name, param in inspect.signature(cls).parameters.items()
+        if param.default is not param.empty and name not in ("schema", "seed")
+    }
+
+
+def _source_params(cls) -> dict:
+    """The generator parameters a ``source.*`` key can set: those not
+    defaulting to None, which take objects a flat value cannot give."""
+    return {k: v for k, v in _constructor_params(cls).items() if v is not None}
+
+
+def _check_params(prefix: str, algorithm: str, names) -> None:
+    """Reject an unknown algorithm or a parameter its constructor lacks."""
+    if algorithm not in LEARNER_REGISTRY:
+        raise ConfigError(f"unknown algorithm {algorithm!r}")
+    known = _constructor_params(LEARNER_REGISTRY[algorithm])
+    for name in names:
+        if name not in known:
+            raise ConfigError(f"{prefix}.{name}: {algorithm} has no parameter {name!r} "
+                              f"(it takes {', '.join(known) or 'none'})")
+
+
+# ---------------------------------------------------------------------------
 # sources
+
+def _add_drift(base, family: str, params: dict, concept: int, position: int,
+               width: int, seed: int) -> DriftStream:
+    """``base`` switching to ``concept`` of the same family around ``position``."""
+    if family not in _CONCEPT_FAMILIES:
+        raise ConfigError(f"family {family!r} has no concept switch")
+    post = make_generator(family, seed=derive_seed(seed, "generator.post"),
+                          **dict(params, concept=concept))
+    return DriftStream(base, post, position=position, width=width,
+                       seed=derive_seed(seed, "drift"))
+
 
 def _build_generator(flat: dict, seed: int):
     family = get_str(flat, "source.family", required=True,
                      choices=tuple(GENERATOR_FAMILIES))
     params = {}
-    for key, default in GENERATOR_PARAMS[family].items():
+    for key in _source_params(GENERATOR_FAMILIES[family]):
         raw = flat.get(f"source.{key}")
         if raw is not None:
             params[key] = auto_value(raw)
-    gen_seed = derive_seed(seed, "generator")
-    base = make_generator(family, seed=gen_seed, **params)
-    drift = section(flat, "source.drift")
-    if drift:
-        if family not in _CONCEPT_FAMILIES:
-            raise ConfigError(f"source.drift.*: family {family!r} has no concept switch")
-        post_params = dict(params)
-        post_params["concept"] = get_int(flat, "source.drift.concept", required=True)
-        position = get_int(flat, "source.drift.position", required=True)
-        width = get_int(flat, "source.drift.width", default=1)
-        post = make_generator(family, seed=derive_seed(seed, "generator.post"), **post_params)
-        base = DriftStream(base, post, position=position, width=width,
-                           seed=derive_seed(seed, "drift"))
+    base = make_generator(family, seed=derive_seed(seed, "generator"), **params)
+    if section(flat, "source.drift"):
+        base = _add_drift(base, family, params,
+                          concept=get_int(flat, "source.drift.concept", required=True),
+                          position=get_int(flat, "source.drift.position", required=True),
+                          width=get_int(flat, "source.drift.width", default=1),
+                          seed=seed)
     return base, f"generator:{family}"
 
 
@@ -86,31 +114,27 @@ def build_source(flat: dict, seed: int):
         if n < 1:
             raise ConfigError("source.n must be >= 1")
         return LimitedStream(stream, n), label
+    # `topic` replays the CSV exactly like `csv`; only the dataset label differs
     path = get_str(flat, "source.path", required=True)
     dataset = read_dataset(path, get_str(flat, "source.label"))
-    schema = infer_schema(dataset)
-    stream = replay_csv(dataset, schema)
-    label = os.path.splitext(os.path.basename(path))[0]
-    if kind == "topic":
-        topic = Topic(name=label, schema=schema)
-        topic.publish_all(stream)
-        topic.close()
-        return topic.subscribe(), f"topic:{label}"
+    stream = replay_csv(dataset, infer_schema(dataset))
     n = get_int(flat, "source.n")
     if n is not None:
         stream = LimitedStream(stream, n)
-    return stream, f"csv:{label}"
+    return stream, f"{kind}:{os.path.splitext(os.path.basename(path))[0]}"
 
 
-def _learner_params(flat: dict, prefix: str) -> dict:
-    return {k: auto_value(v) for k, v in section(flat, prefix).items()}
+def _learner_params(flat: dict, algorithm: str) -> dict:
+    params = {k: auto_value(v) for k, v in section(flat, "learner.params").items()}
+    _check_params("learner.params", algorithm, params)
+    return params
 
 
 def _build_detectors(flat: dict):
     names = get_list(flat, "eval.detectors", default=[])
     detectors = {}
     for name in names:
-        if name not in DETECTOR_PARAMS:
+        if name not in DETECTOR_KINDS:
             raise ConfigError(f"eval.detectors: unknown detector {name!r}")
         detectors[name] = make_detector(name)
     return detectors
@@ -131,6 +155,8 @@ def _build_space(flat: dict) -> ConfigSpace:
             grids[algorithm][param] = [auto_value(t.strip()) for t in value.split(",")]
     if not order:
         raise ConfigError("cash_pretrained requires at least one cash.space.<algorithm> entry")
+    for algorithm in order:
+        _check_params(f"cash.space.{algorithm}", algorithm, grids[algorithm])
     entries = tuple(AlgorithmGrid(a, grids[a]) for a in order)
     return ConfigSpace(entries)
 
@@ -188,7 +214,7 @@ def run_experiment(flat: dict, out_dir: str = ".") -> dict:
         if prefix_size < 1:
             raise ConfigError("prefix_size must be >= 1")
         learner = make_learner(algorithm, source.schema, seed=derive_seed(seed, "learner"),
-                               **_learner_params(flat, "learner.params"))
+                               **_learner_params(flat, algorithm))
         prefix = _take_prefix(source, prefix_size)
         train_batch(learner, prefix, epochs=get_int(flat, "learner.epochs", default=1))
         trace = evaluate_pretrained(source, learner, report_every=report_every, window=window)
@@ -199,10 +225,12 @@ def run_experiment(flat: dict, out_dir: str = ".") -> dict:
         if algorithm in BATCH_ALGORITHMS:
             raise ConfigError(f"online requires an incremental algorithm, got {algorithm!r}")
         learner = make_learner(algorithm, source.schema, seed=derive_seed(seed, "learner"),
-                               **_learner_params(flat, "learner.params"))
+                               **_learner_params(flat, algorithm))
         protocol = get_str(flat, "eval.protocol", default="prequential",
                            choices=("prequential", "holdout"))
         if protocol == "holdout":
+            if get_list(flat, "eval.detectors"):
+                raise ConfigError("eval.detectors: the holdout protocol runs no detectors")
             trace = run_holdout(
                 source, learner,
                 holdout_size=get_int(flat, "eval.holdout_size", required=True),
@@ -238,6 +266,7 @@ def run_experiment(flat: dict, out_dir: str = ".") -> dict:
         mode = get_str(flat, "learner.mode", default="meta",
                        choices=("meta", "last_best", "weighted_vote"))
         for name in roster:
+            _check_params("learner.roster", name, ())
             if name in BATCH_ALGORITHMS:
                 raise ConfigError(f"meta_online roster must be incremental, got {name!r}")
         members = [
@@ -314,18 +343,6 @@ def _summary_payload(flat: dict, experiment: str, trace: MetricTrace, wall: floa
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _apply_overrides(flat: dict, args) -> dict:
-    flat = dict(flat)
-    if args.seed is not None:
-        flat["seed"] = str(args.seed)
-    if args.format is not None:
-        flat["output.format"] = args.format
-        base = flat.get("output.path")
-        if base:
-            flat["output.path"] = os.path.splitext(base)[0] + "." + args.format
-    return flat
-
-
 def run_config_path(path: str, out_dir: str, seed, fmt) -> dict:
     flat = parse_config_file(path)
     if seed is not None:
@@ -383,15 +400,10 @@ def cmd_generate(args) -> int:
         raise ConfigError(f"family {args.family!r} has no concept index")
     stream = make_generator(args.family, seed=derive_seed(args.seed, "generator"), **params)
     if args.drift_concept is not None:
-        if args.family not in _CONCEPT_FAMILIES:
-            raise ConfigError(f"family {args.family!r} has no concept switch")
         if args.drift_position is None:
             raise ConfigError("--drift-position is required with --drift-concept")
-        post_params = dict(params, concept=args.drift_concept)
-        post = make_generator(args.family, seed=derive_seed(args.seed, "generator.post"),
-                              **post_params)
-        stream = DriftStream(stream, post, position=args.drift_position,
-                             width=args.drift_width, seed=derive_seed(args.seed, "drift"))
+        stream = _add_drift(stream, args.family, params, args.drift_concept,
+                            args.drift_position, args.drift_width, args.seed)
     schema = stream.schema
     write_dataset(stream.take(args.n), schema, args.out)
     print(f"wrote {args.n} rows to {args.out}")
@@ -459,19 +471,14 @@ def cmd_summarize(args) -> int:
 
 
 def cmd_list(args) -> int:
-    print("algorithms:")
-    for name in sorted(LEARNER_PARAMS):
-        tag = " [batch]" if name in BATCH_ALGORITHMS else ""
-        params = ", ".join(f"{k}={v}" for k, v in LEARNER_PARAMS[name].items()) or "-"
-        print(f"  {name}{tag}: {params}")
-    print("generators:")
-    for name in sorted(GENERATOR_PARAMS):
-        params = ", ".join(f"{k}={v}" for k, v in GENERATOR_PARAMS[name].items()) or "-"
-        print(f"  {name}: {params}")
-    print("detectors:")
-    for name in sorted(DETECTOR_PARAMS):
-        params = ", ".join(f"{k}={v}" for k, v in DETECTOR_PARAMS[name].items())
-        print(f"  {name}: {params}")
+    for title, registry, params_of in (("algorithms", LEARNER_REGISTRY, _constructor_params),
+                                       ("generators", GENERATOR_FAMILIES, _source_params),
+                                       ("detectors", DETECTOR_KINDS, _constructor_params)):
+        print(f"{title}:")
+        for name in sorted(registry):
+            tag = " [batch]" if name in BATCH_ALGORITHMS else ""
+            params = params_of(registry[name]).items()
+            print(f"  {name}{tag}: {', '.join(f'{k}={v}' for k, v in params) or '-'}")
     return 0
 
 

@@ -262,13 +262,6 @@ DETECTOR_KINDS = {
     "adwin": Adwin,
 }
 
-DETECTOR_PARAMS = {
-    "page_hinkley": {"delta": 0.005, "threshold": 50.0, "min_instances": 30},
-    "ddm": {"warning_level": 2.0, "drift_level": 3.0, "min_instances": 30},
-    "eddm": {"alpha": 0.95, "beta": 0.90, "min_errors": 30},
-    "adwin": {"delta": 0.002},
-}
-
 
 def make_detector(kind: str, **params):
     try:

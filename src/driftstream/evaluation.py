@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import islice
+from typing import Iterator, Optional
 
-from .core import ConfusionMatrix, PredictorStatus
+from .core import ConfusionMatrix, Instance, PredictorStatus
 from .generators import InstanceStream
 from .learners import Learner
 
@@ -64,17 +65,59 @@ class _Scorer:
         )
 
 
-def _check_labeled(inst) -> None:
-    if inst.y is None:
-        raise ValueError(f"unlabeled sample at seq {inst.seq}")
+def _instances(source: InstanceStream, max_samples: Optional[int]) -> Iterator[Instance]:
+    """The source's instances, at most ``max_samples`` of them, all labeled."""
+    for inst in islice(source, max_samples):
+        if inst.y is None:
+            raise ValueError(f"unlabeled sample at seq {inst.seq}")
+        yield inst
 
 
-def _drain_learner_events(learner, seq: int, scorer: _Scorer) -> None:
-    drain = getattr(learner, "drain_events", None)
-    if drain is None:
-        return
-    for detector_id, status in drain():
-        scorer.pending_events.append((seq, detector_id, status))
+def _test_then_train(source: InstanceStream, learner: Learner, report_every: int,
+                     max_samples: Optional[int], window: int, learn: bool,
+                     pretrain: int = 0, detectors: Optional[dict] = None) -> list[TraceRecord]:
+    """Score each instance, then (with ``learn``) train on it.
+
+    Without ``learn`` every instance is scored and the learner is only asked
+    to predict. With it, instances arriving before the learner has fitted
+    anything (or within the ``pretrain`` budget) are trained without being
+    scored.
+    """
+    if report_every < 1:
+        raise ValueError("report_every must be >= 1")
+    scorer = _Scorer(source.schema.n_classes, window)
+    # detectors declare their polarity: drift monitors of the error rate
+    # consume the error bit, windowed-mean monitors the correctness bit
+    monitors = [
+        (name, detector.update, getattr(detector, "input_kind", "error") == "correctness")
+        for name, detector in (detectors or {}).items()
+    ]
+    # only a learning model reports its active member; a frozen one leaves
+    # the trace's active_learner column empty
+    reporter = learner if learn else None
+    last_record_at = 0
+    records: list[TraceRecord] = []
+
+    for consumed, inst in enumerate(_instances(source, max_samples), start=1):
+        if not learn or (consumed > pretrain and learner.fitted):
+            correct = scorer.score(inst.y, learner.predict(inst.x))
+            for name, update, on_correct in monitors:
+                status = update(float(correct) if on_correct else 1.0 - correct)
+                if status != PredictorStatus.STABLE:
+                    scorer.pending_events.append((inst.seq, name, status.name.lower()))
+        if learn:
+            learner.partial_fit(inst)
+            for detector_id, status in learner.drain_events():
+                scorer.pending_events.append((inst.seq, detector_id, status))
+        if scorer.scored - last_record_at >= report_every:
+            records.append(scorer.record(inst.seq, getattr(reporter, "active_index", None)))
+            last_record_at = scorer.scored
+
+    if scorer.scored == 0:
+        raise ValueError("stream produced no scorable samples")
+    if scorer.scored != last_record_at:
+        records.append(scorer.record(inst.seq, getattr(reporter, "active_index", None)))
+    return records
 
 
 def run_prequential(source: InstanceStream, learner: Learner,
@@ -89,47 +132,8 @@ def run_prequential(source: InstanceStream, learner: Learner,
     ``detectors`` (name -> detector) watch the correctness bit; their warning
     and drift statuses are stamped into the trace.
     """
-    if report_every < 1:
-        raise ValueError("report_every must be >= 1")
-    scorer = _Scorer(source.schema.n_classes, window)
-    detectors = detectors or {}
-    consumed = 0
-    last_seq = None
-    last_record_at = 0
-    records: list[TraceRecord] = []
-
-    for inst in source:
-        if max_samples is not None and consumed >= max_samples:
-            break
-        consumed += 1
-        _check_labeled(inst)
-        last_seq = inst.seq
-        if consumed <= pretrain or not learner.fitted:
-            learner.partial_fit(inst)
-            _drain_learner_events(learner, inst.seq, scorer)
-            continue
-        pred = learner.predict(inst.x)
-        correct = scorer.score(inst.y, pred)
-        for name, detector in detectors.items():
-            # detectors declare their polarity: drift monitors of the error
-            # rate consume the error bit, windowed-mean monitors the
-            # correctness bit
-            if getattr(detector, "input_kind", "error") == "correctness":
-                status = detector.update(float(correct))
-            else:
-                status = detector.update(1.0 - correct)
-            if status != PredictorStatus.STABLE:
-                scorer.pending_events.append((inst.seq, name, status.name.lower()))
-        learner.partial_fit(inst)
-        _drain_learner_events(learner, inst.seq, scorer)
-        if scorer.scored - last_record_at >= report_every:
-            records.append(scorer.record(inst.seq, getattr(learner, "active_index", None)))
-            last_record_at = scorer.scored
-
-    if scorer.scored == 0:
-        raise ValueError("stream produced no scorable samples")
-    if scorer.scored != last_record_at:
-        records.append(scorer.record(last_seq, getattr(learner, "active_index", None)))
+    records = _test_then_train(source, learner, report_every, max_samples, window,
+                               learn=True, pretrain=pretrain, detectors=detectors)
     return MetricTrace(records=records, meta=dict(meta or {}, protocol="prequential"))
 
 
@@ -155,58 +159,27 @@ def run_holdout(source: InstanceStream, learner: Learner,
     records: list[TraceRecord] = []
     scored_seqs: list[int] = []
     trained_seqs: list[int] = []
-    incomplete = False
-    consumed = 0
-    exhausted = False
+    pos = 0  # instances consumed in the current cycle
 
-    def pull():
-        nonlocal consumed, exhausted
-        if max_samples is not None and consumed >= max_samples:
-            exhausted = True
-            return None
-        try:
-            inst = next(source)
-        except StopIteration:
-            exhausted = True
-            return None
-        consumed += 1
-        _check_labeled(inst)
-        return inst
-
-    complete_cycles = 0
-    while not exhausted:
-        cycle_scored = 0
-        last_seq = None
-        for _ in range(train_per_cycle):
-            inst = pull()
-            if inst is None:
-                break
+    for inst in _instances(source, max_samples):
+        if pos < train_per_cycle:
             learner.partial_fit(inst)
             if audit:
                 trained_seqs.append(inst.seq)
-            last_seq = inst.seq
-        if not exhausted:
-            for _ in range(holdout_size):
-                inst = pull()
-                if inst is None:
-                    break
-                pred = learner.predict(inst.x)
-                scorer.score(inst.y, pred)
-                if audit:
-                    scored_seqs.append(inst.seq)
-                cycle_scored += 1
-                last_seq = inst.seq
-        if exhausted and cycle_scored < holdout_size:
-            if complete_cycles == 0:
-                raise ValueError("stream shorter than one full holdout cycle")
-            incomplete = last_seq is not None
-            if cycle_scored > 0:
-                records.append(scorer.record(last_seq, None))
-            break
-        records.append(scorer.record(last_seq, None))
-        complete_cycles += 1
+        else:
+            scorer.score(inst.y, learner.predict(inst.x))
+            if audit:
+                scored_seqs.append(inst.seq)
+        pos = (pos + 1) % period
+        if pos == 0:
+            records.append(scorer.record(inst.seq, None))
+
+    if not records:
+        raise ValueError("stream shorter than one full holdout cycle")
+    if pos > train_per_cycle:
+        records.append(scorer.record(inst.seq, None))
     trace_meta = dict(meta or {}, protocol="holdout")
-    if incomplete:
+    if pos > 0:
         trace_meta["incomplete_final_cycle"] = True
     if audit:
         trace_meta["scored_seqs"] = scored_seqs
@@ -221,26 +194,5 @@ def evaluate_pretrained(source: InstanceStream, model: Learner,
     """Score a frozen model against a stream; the model state is never touched."""
     if not model.frozen:
         raise ValueError("evaluate_pretrained requires a frozen model")
-    if report_every < 1:
-        raise ValueError("report_every must be >= 1")
-    scorer = _Scorer(source.schema.n_classes, window)
-    records: list[TraceRecord] = []
-    consumed = 0
-    last_seq = None
-    last_record_at = 0
-    for inst in source:
-        if max_samples is not None and consumed >= max_samples:
-            break
-        consumed += 1
-        _check_labeled(inst)
-        last_seq = inst.seq
-        pred = model.predict(inst.x)
-        scorer.score(inst.y, pred)
-        if scorer.scored - last_record_at >= report_every:
-            records.append(scorer.record(inst.seq, None))
-            last_record_at = scorer.scored
-    if scorer.scored == 0:
-        raise ValueError("stream produced no scorable samples")
-    if scorer.scored != last_record_at:
-        records.append(scorer.record(last_seq, None))
+    records = _test_then_train(source, model, report_every, max_samples, window, learn=False)
     return MetricTrace(records=records, meta=dict(meta or {}, protocol="pretrained"))

@@ -385,10 +385,7 @@ class HyperplaneGenerator(InstanceStream):
 # ---------------------------------------------------------------------------
 # RBF
 
-_RBF_SCHEMA = FeatureSchema(
-    features=tuple(Feature(f"x{i}") for i in range(10)),
-    classes=("0", "1"),
-)
+_RBF_N_FEATURES = 10
 
 
 class RbfGenerator(InstanceStream):
@@ -402,20 +399,20 @@ class RbfGenerator(InstanceStream):
 
     def __init__(self, seed: int = 0, n_classes: int = 2, n_centroids: int = 50,
                  stddev: float = 0.1, speed: float = 0.0,
-                 weights: Optional[list[float]] = None, n_features: int = 10):
+                 weights: Optional[list[float]] = None):
         super().__init__()
         if n_centroids < n_classes:
             raise ValueError("need at least one centroid per class")
         if speed < 0 or stddev < 0:
             raise ValueError("speed and stddev must be >= 0")
         self.schema = FeatureSchema(
-            features=tuple(Feature(f"x{i}") for i in range(n_features)),
+            features=tuple(Feature(f"x{i}") for i in range(_RBF_N_FEATURES)),
             classes=tuple(str(c) for c in range(n_classes)),
         )
         self._rng = random.Random(seed)
         self.speed = speed
         self.stddev = stddev
-        self.centers = [[self._rng.random() for _ in range(n_features)]
+        self.centers = [[self._rng.random() for _ in range(_RBF_N_FEATURES)]
                         for _ in range(n_centroids)]
         self.labels = [i % n_classes for i in range(n_centroids)]
         if weights is None:
@@ -426,7 +423,7 @@ class RbfGenerator(InstanceStream):
             self.weights = list(weights)
         self._directions = []
         for _ in range(n_centroids):
-            vec = [self._rng.gauss(0, 1) for _ in range(n_features)]
+            vec = [self._rng.gauss(0, 1) for _ in range(_RBF_N_FEATURES)]
             norm = math.sqrt(sum(v * v for v in vec)) or 1.0
             self._directions.append([v / norm for v in vec])
         self._wsum = sum(self.weights)
@@ -513,16 +510,6 @@ GENERATOR_FAMILIES = {
     "led": LedGenerator,
     "hyperplane": HyperplaneGenerator,
     "rbf": RbfGenerator,
-}
-
-# Parameter names accepted by each family beyond the seed (for CLI listing).
-GENERATOR_PARAMS = {
-    "agrawal": {"concept": 0},
-    "stagger": {"concept": 0},
-    "sea": {"concept": 0, "noise": 0.0},
-    "led": {"noise": 0.10},
-    "hyperplane": {"n_drift": 2, "magnitude": 0.001, "reversal_prob": 0.1, "noise": 0.0},
-    "rbf": {"n_classes": 2, "n_centroids": 50, "stddev": 0.1, "speed": 0.0},
 }
 
 

@@ -43,28 +43,6 @@ LEARNER_REGISTRY: dict[str, type[Learner]] = {
     )
 }
 
-# Tunable parameters and their defaults, keyed by algorithm (for `cli list`
-# and config validation).
-LEARNER_PARAMS: dict[str, dict] = {
-    "majority_class": {},
-    "naive_bayes": {},
-    "hoeffding_tree": {"grace_period": 200, "delta": 1e-7, "tau": 0.05, "max_depth": None},
-    "hoeffding_adaptive_tree": {"grace_period": 200, "delta": 1e-7, "tau": 0.05,
-                                "max_depth": None, "adwin_delta": 0.002},
-    "knn_window": {"k": 5, "window": 1000},
-    "linear_sgd": {"lr": 0.01},
-    "perceptron": {"lr": 0.01},
-    "logistic_sgd": {"lr": 0.01},
-    "oza_bagging": {"n_members": 10},
-    "oza_bagging_adwin": {"n_members": 10},
-    "leveraging_bagging": {"n_members": 10},
-    "cart_batch": {"max_depth": 10, "min_leaf": 1},
-    "random_forest_batch": {"n_trees": 10, "max_depth": 10, "min_leaf": 1,
-                            "max_features": None, "bootstrap": True},
-    "knn_batch": {"k": 5},
-    "linear_svm_batch": {"lr": 0.01},
-}
-
 BATCH_ALGORITHMS = frozenset(
     name for name, cls in LEARNER_REGISTRY.items() if issubclass(cls, BatchLearner)
 )
@@ -87,7 +65,6 @@ __all__ = [
     "HoeffdingTree",
     "KnnBatch",
     "KnnWindow",
-    "LEARNER_PARAMS",
     "LEARNER_REGISTRY",
     "Learner",
     "LeveragingBagging",

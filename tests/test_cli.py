@@ -190,6 +190,30 @@ output.path = t.csv
     assert trace.records[-1].seq == 399
 
 
+def test_topic_source_is_a_csv_alias_that_honours_n(tmp_path):
+    rows = ["x,cls"] + [f"{i}.5,{i % 2}" for i in range(400)]
+    data = tmp_path / "d.csv"
+    data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    for kind in ("topic", "csv"):
+        cfg = write_cfg(tmp_path, f"{kind}.cfg", f"""
+experiment = online
+source.kind = {kind}
+source.path = {data}
+source.n = 100
+learner.algorithm = naive_bayes
+output.path = {kind}.json
+output.format = json
+""")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
+    topic = read_trace(str(tmp_path / "topic.json"))
+    plain = read_trace(str(tmp_path / "csv.json"))
+    assert topic.final.seq == 99
+    assert topic.meta["dataset"] == "topic:d"
+    assert plain.meta["dataset"] == "csv:d"
+    assert [(r.seq, r.cum_accuracy, r.window_accuracy, r.kappa) for r in topic.records] == \
+           [(r.seq, r.cum_accuracy, r.window_accuracy, r.kappa) for r in plain.records]
+
+
 # -- determinism and round-trip -------------------------------------------------------
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -310,8 +334,14 @@ def test_summarize_empty_directory_fails(tmp_path):
 def test_list_prints_registries(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
-    for needle in ("hoeffding_tree", "adwin", "stagger", "leveraging_bagging"):
+    # parameter lists come from the constructors, so adwin's bucket settings
+    # and cart_batch's max_features are listed too
+    for needle in ("hoeffding_tree", "adwin", "stagger", "leveraging_bagging",
+                   "max_buckets=5", "max_features=None"):
         assert needle in out
+    assert "seed=" not in out and "schema" not in out
+    # rbf's centroid weights take a list, which no flat config value gives
+    assert "weights=" not in out
 
 
 # -- error reporting ---------------------------------------------------------------------
@@ -334,3 +364,55 @@ output.path = x.csv
 
 def test_unreadable_config_exits_one(tmp_path):
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 1
+
+
+def test_holdout_with_detectors_exits_one(tmp_path):
+    cfg = write_cfg(tmp_path, "h.cfg", ONLINE_CFG.format(out="h.csv", fmt="csv") + """
+eval.protocol = holdout
+eval.holdout_size = 100
+eval.period = 500
+eval.detectors = ddm,adwin
+""")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert not (tmp_path / "h.csv").exists()
+
+
+@pytest.mark.parametrize("body", [
+    ONLINE_CFG.format(out="u.csv", fmt="csv").replace(
+        "learner.algorithm = naive_bayes",
+        "learner.algorithm = knn_window\nlearner.params.kk = 3"),
+    """
+experiment = cash_pretrained
+source.kind = generator
+source.family = sea
+source.n = 1000
+prefix_size = 200
+cash.space.naive_bayes =
+cash.space.knn_batch.kk = 1,2
+output.path = u.csv
+""",
+], ids=["learner.params", "cash.space"])
+def test_unknown_learner_parameter_exits_one(tmp_path, capsys, body):
+    cfg = write_cfg(tmp_path, "u.cfg", body)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "has no parameter 'kk'" in capsys.readouterr().err
+    assert not (tmp_path / "u.csv").exists()
+
+
+@pytest.mark.parametrize("line, replacement", [
+    ("learner.algorithm = naive_bayes", "learner.algorithm = naive_bays"),
+    ("experiment = online", "experiment = meta_online\nlearner.roster = hoeffding_tree,naive_bays"),
+], ids=["learner.algorithm", "learner.roster"])
+def test_unknown_algorithm_exits_one(tmp_path, capsys, line, replacement):
+    cfg = write_cfg(tmp_path, "a.cfg",
+                    ONLINE_CFG.format(out="a.csv", fmt="csv").replace(line, replacement))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "unknown algorithm 'naive_bays'" in capsys.readouterr().err
+
+
+def test_source_key_without_flat_value_is_ignored(tmp_path):
+    # rbf's centroid weights take a list; source.weights is not read
+    cfg = write_cfg(tmp_path, "w.cfg", ONLINE_CFG.format(out="w.csv", fmt="csv").replace(
+        "source.family = sea\nsource.concept = 0", "source.family = rbf\nsource.weights = 1"))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert read_trace(str(tmp_path / "w.csv")).final.seq == 1499

@@ -146,16 +146,39 @@ def test_trace_determinism():
            [(r.seq, r.cum_accuracy, r.window_accuracy, r.kappa) for r in b.records]
 
 
+@pytest.mark.parametrize("evaluate", [
+    lambda stream: run_prequential(stream, ProbeLearner(ONE_NUMERIC), report_every=30,
+                                   max_samples=100),
+    lambda stream: evaluate_pretrained(stream, ProbeLearner(ONE_NUMERIC).freeze(),
+                                       report_every=30, max_samples=100),
+    lambda stream: run_holdout(stream, ProbeLearner(ONE_NUMERIC), holdout_size=20,
+                               period=50, max_samples=100),
+], ids=["prequential", "pretrained", "holdout"])
+def test_max_samples_reads_no_instance_past_the_cap(evaluate):
+    stream = labeled_stream([0, 1] * 100)
+    assert evaluate(stream).final.seq == 99
+    assert next(stream).seq == 100
+
+
 # -- holdout ---------------------------------------------------------------------
 
 def test_holdout_cycle_arithmetic():
     labels = [i % 2 for i in range(1000)]
-    probe = ProbeLearner(ONE_NUMERIC, constant=0)
-    trace = run_holdout(labeled_stream(labels), probe, holdout_size=20, period=100,
-                        audit=True)
-    assert len(trace.records) == 10
-    assert len(trace.meta["trained_seqs"]) == 800
-    assert len(trace.meta["scored_seqs"]) == 200
+    # max_samples -> records, trained, scored, last record seq; 550 stops
+    # inside a training stretch, 590 inside a holdout (a partial record)
+    for max_samples, n_records, n_trained, n_scored, last_seq in (
+        (None, 10, 800, 200, 999),
+        (550, 5, 450, 100, 499),
+        (590, 6, 480, 110, 589),
+    ):
+        probe = ProbeLearner(ONE_NUMERIC, constant=0)
+        trace = run_holdout(labeled_stream(labels), probe, holdout_size=20, period=100,
+                            max_samples=max_samples, audit=True)
+        assert len(trace.records) == n_records
+        assert len(trace.meta["trained_seqs"]) == n_trained
+        assert len(trace.meta["scored_seqs"]) == n_scored
+        assert trace.final.seq == last_seq
+        assert trace.meta.get("incomplete_final_cycle", False) == (max_samples is not None)
 
 
 def test_holdout_never_trains_on_scored_samples():
@@ -228,6 +251,18 @@ def test_pretrained_never_mutates_model():
     assert rule.frozen
 
 
+def test_only_a_learning_model_reports_its_active_member():
+    labels = [0, 1] * 50
+    learning = RuleLearner(ONE_NUMERIC, lambda x: 0)
+    learning.active_index = 1
+    frozen = RuleLearner(ONE_NUMERIC, lambda x: 0).freeze()
+    frozen.active_index = 1
+    scored = run_prequential(labeled_stream(labels), learning, report_every=25)
+    pretrained = evaluate_pretrained(labeled_stream(labels), frozen, report_every=25)
+    assert [r.active_learner for r in scored.records] == [1] * 4
+    assert [r.active_learner for r in pretrained.records] == [None] * 4
+
+
 def test_frozen_majority_decays_to_prior_mixture():
     # 1000 samples of class 0 then 1000 of class 1: always-0 ends at 0.5 exactly
     labels = [0] * 1000 + [1] * 1000
@@ -235,6 +270,10 @@ def test_frozen_majority_decays_to_prior_mixture():
     trace = evaluate_pretrained(labeled_stream(labels), model, report_every=100)
     assert trace.records[9].cum_accuracy == 1.0
     assert trace.final.cum_accuracy == pytest.approx(0.5, abs=1e-12)
+    capped = evaluate_pretrained(labeled_stream(labels), model, report_every=100,
+                                 max_samples=1500)
+    assert [r.seq for r in capped.records] == list(range(99, 1500, 100))
+    assert capped.final.cum_accuracy == pytest.approx(1000 / 1500, abs=1e-12)
 
 
 def test_pretrained_window_accuracy_collapses_after_concept_switch():
