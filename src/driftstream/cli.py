@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import collections.abc
 import inspect
 import json
 import os
 import statistics
 import sys
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
 
 from .cash import AlgorithmGrid, ConfigSpace, cash_search
@@ -48,12 +50,19 @@ _CONCEPT_FAMILIES = ("agrawal", "stagger", "sea")
 
 def _constructor_params(cls) -> dict:
     """The defaulted parameters of ``cls``'s constructor with their defaults,
-    except ``schema`` and ``seed``, which the runner supplies."""
+    except ``schema`` and ``seed``, which the runner supplies, and those that
+    take a callable (``member_factory``), which no flat value can give."""
     return {
         name: param.default
-        for name, param in inspect.signature(cls).parameters.items()
+        for name, param in inspect.signature(cls, eval_str=True).parameters.items()
         if param.default is not param.empty and name not in ("schema", "seed")
+        and not _takes_callable(param.annotation)
     }
+
+
+def _takes_callable(hint) -> bool:
+    options = typing.get_args(hint) if typing.get_origin(hint) is typing.Union else (hint,)
+    return any(typing.get_origin(h) is collections.abc.Callable for h in options)
 
 
 def _source_params(cls) -> dict:
@@ -388,11 +397,15 @@ def cmd_run(args) -> int:
 def cmd_generate(args) -> int:
     if args.n < 1:
         raise ConfigError("n must be >= 1")
+    known = _source_params(GENERATOR_FAMILIES[args.family])
     params = {}
     for item in args.param:
         key, _, value = item.partition("=")
         if not _:
             raise ConfigError(f"--param expects key=value, got {item!r}")
+        if key not in known:
+            raise ConfigError(f"--param {key}: {args.family} has no parameter {key!r} "
+                              f"(it takes {', '.join(known) or 'none'})")
         params[key] = auto_value(value)
     if args.family in _CONCEPT_FAMILIES:
         params.setdefault("concept", args.concept)

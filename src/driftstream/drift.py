@@ -10,6 +10,7 @@ window to the retained suffix).
 from __future__ import annotations
 
 import math
+from collections import deque
 
 from .core import PredictorStatus
 
@@ -163,10 +164,12 @@ class Adwin:
     """Adaptive windowing over a [0, 1] stream with an exponential histogram.
 
     The window is held as buckets of exponentially growing size (at most
-    ``max_buckets`` per size level). After each insert every bucket boundary
-    is tested as a cut point; if the two sides' means differ by at least the
-    epsilon-cut bound the oldest bucket is dropped and the scan repeats, so
-    the window shrinks to the suffix consistent with the current mean.
+    ``max_buckets`` per size level, one deque per level). After each insert
+    the bucket boundaries are scanned oldest first as cut points; if the two
+    sides' means differ by at least the epsilon-cut bound the oldest bucket is
+    dropped and the scan repeats, so the window shrinks to the suffix
+    consistent with the current mean. A scan stops early once the newer side
+    holds fewer than ``min_side`` items, since no later boundary can qualify.
     """
 
     input_kind = "correctness"
@@ -181,7 +184,7 @@ class Adwin:
 
     def reset(self) -> None:
         # _levels[l] holds sums of buckets of 2^l items, oldest first.
-        self._levels: list[list[float]] = [[]]
+        self._levels: list[deque[float]] = [deque()]
         self.width = 0
         self.total = 0.0
         self.n_seen = 0
@@ -201,58 +204,57 @@ class Adwin:
         return DRIFT if self._shrink() else STABLE
 
     def _insert(self, x: float) -> None:
-        self._levels[0].append(x)
+        levels = self._levels
+        levels[0].append(x)
         self.width += 1
         self.total += x
         level = 0
-        while len(self._levels[level]) > self.max_buckets:
-            if level + 1 == len(self._levels):
-                self._levels.append([])
-            merged = self._levels[level].pop(0) + self._levels[level].pop(0)
-            self._levels[level + 1].append(merged)
+        while len(levels[level]) > self.max_buckets:
+            if level + 1 == len(levels):
+                levels.append(deque())
+            buckets = levels[level]
+            levels[level + 1].append(buckets.popleft() + buckets.popleft())
             level += 1
-
-    def _iter_buckets_oldest_first(self):
-        for level in range(len(self._levels) - 1, -1, -1):
-            size = 1 << level
-            for bucket_sum in self._levels[level]:
-                yield size, bucket_sum
 
     def _drop_oldest(self) -> None:
         for level in range(len(self._levels) - 1, -1, -1):
             if self._levels[level]:
-                bucket_sum = self._levels[level].pop(0)
+                bucket_sum = self._levels[level].popleft()
                 self.width -= 1 << level
                 self.total -= bucket_sum
                 return
 
-    def _shrink(self) -> bool:
-        dropped = False
-        while True:
-            if self.width < self.min_window:
-                return dropped
-            log_term = math.log(4.0 * self.width / self.delta)
-            w, s = self.width, self.total
-            n0 = 0
-            s0 = 0.0
-            cut_here = False
-            for size, bucket_sum in self._iter_buckets_oldest_first():
+    def _has_cut(self) -> bool:
+        """Whether some bucket boundary splits the window into two sides, each
+        of at least ``min_side`` items, whose means differ by the cut bound."""
+        w, s, min_side = self.width, self.total, self.min_side
+        log_term = math.log(4.0 * w / self.delta)
+        n0, s0 = 0, 0.0
+        size = 1 << len(self._levels)
+        for buckets in reversed(self._levels):
+            size >>= 1
+            for bucket_sum in buckets:
                 n0 += size
                 s0 += bucket_sum
                 n1 = w - n0
-                if n0 < self.min_side or n1 < self.min_side:
+                if n1 < min_side:
+                    return False  # n1 only falls from here on
+                if n0 < min_side:
                     continue
                 diff = s0 / n0 - (s - s0) / n1
                 # compare squared means against eps_cut^2 = log_term/(2m)
-                if diff * diff >= log_term * (n0 + n1) / (2.0 * n0 * n1):
-                    cut_here = True
-                    break
-            if not cut_here:
-                return dropped
+                if diff * diff >= log_term * w / (2.0 * n0 * n1):
+                    return True
+        return False
+
+    def _shrink(self) -> bool:
+        dropped = False
+        while self.width >= self.min_window and self._has_cut():
             self._drop_oldest()
-            if not dropped:
-                self.n_detections += 1
             dropped = True
+        if dropped:
+            self.n_detections += 1
+        return dropped
 
 
 DETECTOR_KINDS = {

@@ -32,13 +32,19 @@ class OzaBagging(Learner):
         self.members = [member_factory(self._rng.getrandbits(32))
                         for _ in range(n_members)]
         self.detectors = [Adwin() for _ in self.members] if self.member_adwin else None
+        self._answered: tuple[tuple, dict[int, int]] = ((), {})
 
     def _learn(self, inst: Instance) -> None:
+        answered_x, answers = self._answered
+        self._answered = ((), {})
         if self.detectors is not None:
+            if answered_x != tuple(inst.x):
+                answers = {}
             drifted = False
-            for member, detector in zip(self.members, self.detectors):
+            for j, (member, detector) in enumerate(zip(self.members, self.detectors)):
                 if member.fitted:
-                    error = float(member.predict(inst.x) != inst.y)
+                    pred = answers[j] if j in answers else member.predict(inst.x)
+                    error = float(pred != inst.y)
                 else:
                     error = 1.0
                 if detector.update(error) == DRIFT:
@@ -56,7 +62,11 @@ class OzaBagging(Learner):
         self._events.append((f"{self.algorithm}.member{worst}", "drift"))
 
     def _predict(self, x: Sequence[float]) -> int:
-        votes = [(m.predict(x), 1.0) for m in self.members if m.fitted]
+        # Member answers for this x, which _learn reuses for the error bits
+        # while no member has learned since (test-then-train asks each once).
+        answers = {j: m.predict(x) for j, m in enumerate(self.members) if m.fitted}
+        self._answered = (tuple(x), answers)
+        votes = [(pred, 1.0) for pred in answers.values()]
         if not votes:
             return self.default_class if self.default_class is not None else 0
         return ensemble_vote(votes)

@@ -131,11 +131,15 @@ class HoeffdingTree(Learner):
             node = node.children[node.split.branch(inst.x)]
         self._leaf_learn(node, inst)
 
-    def _leaf_learn(self, node: _Node, inst: Instance) -> None:
+    def _leaf_learn(self, node: _Node, inst: Instance, nb: Optional[int] = None) -> None:
+        """Train a leaf; ``nb`` is its naive-Bayes answer for ``inst.x`` when
+        the caller already has it."""
         if node.total > 0:
             if argmax_lowest(node.class_counts) == inst.y:
                 node.mc_correct += 1
-            if self._leaf_nb(node, inst.x) == inst.y:
+            if nb is None:
+                nb = self._leaf_nb(node, inst.x)
+            if nb == inst.y:
                 node.nb_correct += 1
         self._update_stats(node, inst)
         node.n_since_check += 1
@@ -312,52 +316,66 @@ class HoeffdingAdaptiveTree(HoeffdingTree):
         self.adwin_delta = adwin_delta
 
     def _learn(self, inst: Instance) -> None:
-        self._adaptive_learn(self.root, inst, parent=None, branch=None)
+        # Nothing on the main path changes before its leaf learns (alternates
+        # are separate trees, and a swap ends the step), so one walk gives
+        # every node's prediction.
+        x, y = inst.x, inst.y
+        path, preds, nb = self._walk(self.root, x)
+        for i, (node, pred) in enumerate(zip(path, preds)):
+            if node.adwin is None:
+                node.adwin = Adwin(delta=self.adwin_delta)
+            error = 1.0 if pred is None or pred != y else 0.0
+            main_signal = node.adwin.update(error) == DRIFT
 
-    def _adaptive_learn(self, node: _Node, inst: Instance,
-                        parent: Optional[_Node], branch: Optional[int]) -> None:
-        if node.adwin is None:
-            node.adwin = Adwin(delta=self.adwin_delta)
-        pred = self._predict_from(node, inst.x)
-        error = 1.0 if pred is None or pred != inst.y else 0.0
-        main_signal = node.adwin.update(error) == DRIFT
-
-        alt_signal = False
-        if node.alternate is not None:
             alt = node.alternate
-            alt_pred = self._predict_from(alt, inst.x)
-            alt_error = 1.0 if alt_pred is None or alt_pred != inst.y else 0.0
+            if alt is None:
+                if main_signal:
+                    alt = _Node(self.n_classes, node.depth)
+                    alt.adwin = Adwin(delta=self.adwin_delta)
+                    node.alternate = alt
+                    self._events.append(("hat", "drift"))
+                continue
+            alt_path, alt_preds, alt_nb = self._walk(alt, x)
+            alt_pred = alt_preds[0]
+            alt_error = 1.0 if alt_pred is None or alt_pred != y else 0.0
             alt_signal = alt.adwin.update(alt_error) == DRIFT
-            self._subtree_learn(alt, inst)
-
-        if node.alternate is not None and (main_signal or alt_signal):
-            alt = node.alternate
-            if alt.adwin.width >= alt.adwin.min_window and alt.adwin.mean < node.adwin.mean:
-                self._swap_in_alternate(node, parent, branch)
+            self._leaf_learn(alt_path[-1], inst, alt_nb)
+            if ((main_signal or alt_signal)
+                    and alt.adwin.width >= alt.adwin.min_window
+                    and alt.adwin.mean < node.adwin.mean):
+                self._swap_in_alternate(node, path[i - 1] if i else None, x)
                 self._events.append(("hat", "swap"))
                 return
-        elif main_signal and node.alternate is None:
-            alt = _Node(self.n_classes, node.depth)
-            alt.adwin = Adwin(delta=self.adwin_delta)
-            node.alternate = alt
-            self._events.append(("hat", "drift"))
+        self._leaf_learn(path[-1], inst, nb)
 
-        if node.is_leaf:
-            self._leaf_learn(node, inst)
-        else:
-            child = node.children[node.split.branch(inst.x)]
-            self._adaptive_learn(child, inst, parent=node, branch=node.split.branch(inst.x))
-
-    def _subtree_learn(self, node: _Node, inst: Instance) -> None:
+    def _walk(self, node: _Node, x: Sequence[float]
+              ) -> tuple[list[_Node], list[Optional[int]], Optional[int]]:
+        """Walk from ``node`` to the leaf for ``x``. Returns the path, what
+        ``_predict_from`` answers from each node on it, and the leaf's
+        naive-Bayes answer (None when the leaf is empty)."""
+        path = [node]
         while not node.is_leaf:
-            node = node.children[node.split.branch(inst.x)]
-        self._leaf_learn(node, inst)
+            node = node.children[node.split.branch(x)]
+            path.append(node)
+        if node.total > 0:
+            nb = self._leaf_nb(node, x)
+            pred = nb if node.nb_correct > node.mc_correct else argmax_lowest(node.class_counts)
+            return path, [pred] * len(path), nb
+        # empty leaf: each node falls back to the majority of the deepest
+        # non-empty internal node at or below it
+        preds: list[Optional[int]] = [None] * len(path)
+        fallback = None
+        for i in range(len(path) - 2, -1, -1):
+            if fallback is None and path[i].total > 0:
+                fallback = argmax_lowest(path[i].class_counts)
+            preds[i] = fallback
+        return path, preds, None
 
     def _swap_in_alternate(self, node: _Node, parent: Optional[_Node],
-                           branch: Optional[int]) -> None:
+                           x: Sequence[float]) -> None:
         alt = node.alternate
         node.alternate = None
         if parent is None:
             self.root = alt
         else:
-            parent.children[branch] = alt
+            parent.children[parent.split.branch(x)] = alt

@@ -399,6 +399,26 @@ def test_unknown_learner_parameter_exits_one(tmp_path, capsys, body):
     assert not (tmp_path / "u.csv").exists()
 
 
+def test_callable_learner_parameter_exits_one(tmp_path, capsys):
+    # member_factory takes a callable, which no flat config value gives
+    cfg = write_cfg(tmp_path, "f.cfg", ONLINE_CFG.format(out="f.csv", fmt="csv").replace(
+        "learner.algorithm = naive_bayes",
+        "learner.algorithm = oza_bagging\nlearner.params.member_factory = x"))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "has no parameter 'member_factory'" in capsys.readouterr().err
+    assert not (tmp_path / "f.csv").exists()
+
+
+def test_generate_unknown_param_exits_one(tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    assert main(["generate", "--family", "sea", "--param", "nois=0.1", "--n", "10",
+                 "--out", str(out)]) == 1
+    assert "sea has no parameter 'nois'" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["generate", "--family", "sea", "--param", "noise=0.1", "--n", "10",
+                 "--out", str(out)]) == 0
+
+
 @pytest.mark.parametrize("line, replacement", [
     ("learner.algorithm = naive_bayes", "learner.algorithm = naive_bays"),
     ("experiment = online", "experiment = meta_online\nlearner.roster = hoeffding_tree,naive_bays"),

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -242,3 +243,60 @@ def test_make_detector_registry():
     assert isinstance(make_detector("adwin", delta=0.01), Adwin)
     with pytest.raises(ValueError):
         make_detector("nope")
+
+
+# -- ADWIN golden sequences ---------------------------------------------------------
+# Recorded from the first ADWIN implementation: a faster cut scan must make
+# the same decisions, with the same width and total, at every step.
+
+def _real_steps(seed):
+    rng = random.Random(seed)
+    for lo, hi, n in ((0.0, 0.6, 3000), (0.35, 1.0, 3000), (0.1, 0.5, 2000)):
+        for _ in range(n):
+            yield rng.uniform(lo, hi)
+
+
+ADWIN_GOLDEN = {
+    # name: (constructor kwargs, values, reset before this step,
+    #        drift steps, final (width, total, n_detections), sha256 of every
+    #        step's "status width repr(total) n_detections")
+    "bernoulli_step": (
+        {}, lambda: bernoulli_steps([(3000, 0.2), (3000, 0.8), (3000, 0.3)], seed=11), None,
+        [3018, 3019, 3020, 3021, 3023, 6065, 6068, 6069, 6080, 6089, 6100, 6107],
+        (3032, 962.0, 12),
+        "8a9e9ccfbedd7a894cad7597f18c576707e4e23c3409c031c3adc2cf5ba9d1c0"),
+    "real_valued": (
+        {}, lambda: _real_steps(12), None,
+        [3061, 3062, 3063, 3065, 3080, 3091, 3097, 3099, 3136, 3546,
+         6052, 6053, 6054, 6058, 6069, 6081],
+        (2048, 630.4280306866899, 16),
+        "0aa15b12332392ecee635afafb89a7ffc70f7a2586fb9ee71f23e1118fdd5b76"),
+    "small_buckets_wide_sides": (
+        {"delta": 0.05, "max_buckets": 2, "min_window": 30, "min_side": 20},
+        lambda: bernoulli_steps([(2500, 0.4), (2500, 0.7)], seed=13), None,
+        [2524, 2525, 2526],
+        (2536, 1797.0, 3),
+        "54244d4df92473080ad79457b2ae7d6d898409b856a0356dacfa889431b0937d"),
+    "reset_midway": (
+        {}, lambda: bernoulli_steps([(2000, 0.1), (2000, 0.9), (2000, 0.5)], seed=14), 3000,
+        [2011, 2013, 2024, 4033, 4034, 4038],
+        (2040, 1022.0, 3),
+        "1cee4c99420446c55e1eae03a084652fb37cdc1bb4634ed7cefa9dab0f33e528"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADWIN_GOLDEN))
+def test_adwin_golden_sequences(name):
+    kwargs, values, reset_at, drifts, final, digest = ADWIN_GOLDEN[name]
+    a = Adwin(**kwargs)
+    rows, seen = [], []
+    for i, x in enumerate(values()):
+        if i == reset_at:
+            a.reset()
+        status = a.update(x)
+        if status == DRIFT:
+            seen.append(i)
+        rows.append(f"{status.name} {a.width} {a.total!r} {a.n_detections}")
+    assert seen == drifts
+    assert (a.width, a.total, a.n_detections) == final
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == digest

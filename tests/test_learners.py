@@ -26,7 +26,9 @@ from driftstream.learners import (
     poisson,
     train_batch,
 )
-from driftstream.learners.ensembles import OzaBagging, OzaBaggingAdwin
+from driftstream.generators import DriftStream, LimitedStream, StaggerGenerator
+from driftstream.learners.ensembles import LeveragingBagging, OzaBagging, OzaBaggingAdwin
+from driftstream.learners.tree import HoeffdingTree
 
 NUM1 = FeatureSchema(features=(Feature("x0"),), classes=("0", "1"))
 BIN1 = FeatureSchema(features=(Feature("f", CATEGORICAL, 2),), classes=("0", "1"))
@@ -407,6 +409,46 @@ def test_oza_adwin_resets_worst_member_on_drift():
     events = bag.drain_events()
     assert any(status == "drift" for _, status in events)
     assert bag.predict([0.0]) == 1  # adapted to the inverted concept
+
+
+@pytest.mark.parametrize("cls", [OzaBaggingAdwin, LeveragingBagging])
+def test_adwin_bagging_asks_each_member_once_per_step(cls):
+    schema = StaggerGenerator.schema
+    calls = [0]
+
+    def counted_tree(member_seed):
+        member = HoeffdingTree(schema, seed=member_seed)
+
+        def predict(x, _predict=member.predict):
+            calls[0] += 1
+            return _predict(x)
+        member.predict = predict
+        return member
+
+    bag = cls(schema, seed=3, n_members=5, member_factory=counted_tree)
+    # The reference asks every member again in partial_fit: a predict on
+    # another x between predict and partial_fit leaves nothing to reuse.
+    ref = cls(schema, seed=3, n_members=5)
+    stream = LimitedStream(DriftStream(StaggerGenerator(concept=0, seed=21),
+                                       StaggerGenerator(concept=2, seed=22),
+                                       position=1000, width=1, seed=23), 2000)
+    got, want = [], []
+    for inst in stream:
+        fitted = sum(m.fitted for m in bag.members)
+        calls[0] = 0
+        got.append(bag.predict(inst.x) if bag.fitted else None)
+        bag.partial_fit(inst)
+        assert calls[0] == fitted, inst.seq
+        got.append(bag.drain_events())
+        if ref.fitted:
+            want.append(ref.predict(inst.x))
+            ref.predict([(v + 1.0) % 3 for v in inst.x])
+        else:
+            want.append(None)
+        ref.partial_fit(inst)
+        want.append(ref.drain_events())
+    assert got == want
+    assert any(events for events in got[1::2])  # some member was reset
 
 
 def test_bounded_memory_knn_and_majority():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -5,7 +6,7 @@ import pytest
 
 from driftstream.core import CATEGORICAL, Feature, FeatureSchema, Instance
 from driftstream.evaluation import run_prequential
-from driftstream.generators import DriftStream, LimitedStream, StaggerGenerator
+from driftstream.generators import DriftStream, LimitedStream, SeaGenerator, StaggerGenerator
 from driftstream.learners import HoeffdingAdaptiveTree, HoeffdingTree, hoeffding_bound
 
 TWO_BINARY = FeatureSchema(
@@ -183,3 +184,66 @@ def test_hat_without_drift_matches_plain_tree_quality():
     acc_ht = run_prequential(stream_a, ht, report_every=500).final.cum_accuracy
     acc_hat = run_prequential(stream_b, hat, report_every=500).final.cum_accuracy
     assert abs(acc_ht - acc_hat) < 0.05
+
+
+# -- HAT golden runs ------------------------------------------------------------
+# Recorded from the first HAT implementation: a faster learn step must give
+# the same predictions, events and tree sizes at every step.
+
+def _sea_switch_stream():
+    return LimitedStream(DriftStream(SeaGenerator(2, seed=22, noise=0.1),
+                                     SeaGenerator(1, seed=23, noise=0.1),
+                                     position=3000, width=1, seed=24), 9000)
+
+
+HAT_GOLDEN = {
+    # name: (schema, stream, tree seed, (seq, event) list, final n_nodes,
+    #        sha256 of every step's "prediction drained-events n_nodes")
+    "sea_switch": (
+        SeaGenerator.schema, _sea_switch_stream, 5,
+        [(3338, "drift"), (3522, "swap")], 5,
+        "527828d61b196ba5fdad845f01eaece5d76fe249fcea3148c0d05f622b0ca8ed"),
+    "stagger_switch": (
+        StaggerGenerator.schema, _stagger_switch_stream, 3,
+        [(10013, "drift"), (10022, "drift"), (10030, "swap")], 4,
+        "f53018324bb55fa106cad2d319e669307d850ee4cb4b96a453c8be0bfa0943ad"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAT_GOLDEN))
+def test_hat_golden_runs(name):
+    schema, stream, seed, events, n_nodes, digest = HAT_GOLDEN[name]
+    hat = HoeffdingAdaptiveTree(schema, seed=seed)
+    rows, seen = [], []
+    for inst in stream():
+        pred = hat.predict(inst.x) if hat.fitted else None
+        hat.partial_fit(inst)
+        drained = hat.drain_events()
+        assert all(source == "hat" for source, _ in drained)
+        seen += [(inst.seq, status) for _, status in drained]
+        rows.append(f"{pred} {drained} {hat.n_nodes}")
+    assert seen == events
+    assert hat.n_nodes == n_nodes
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == digest
+
+
+def test_hat_learn_step_computes_each_leaf_answer_once():
+    # One naive-Bayes answer per path walk: the main path's, plus one for
+    # each alternate subtree met on it.
+    hat = HoeffdingAdaptiveTree(StaggerGenerator.schema, seed=3)
+    calls = []
+    leaf_nb = hat._leaf_nb
+    hat._leaf_nb = lambda node, x: calls.append(node) or leaf_nb(node, x)
+    alternates_met = 0
+    for inst in _stagger_switch_stream():
+        walks, node = 1, hat.root
+        while True:
+            walks += node.alternate is not None
+            if node.is_leaf:
+                break
+            node = node.children[node.split.branch(inst.x)]
+        alternates_met += walks - 1
+        del calls[:]
+        hat.partial_fit(inst)
+        assert len(calls) <= walks, inst.seq
+    assert alternates_met > 0
