@@ -206,7 +206,11 @@ def run_experiment(flat: dict, out_dir: str = ".") -> dict:
     experiment = get_str(flat, "experiment", required=True, choices=EXPERIMENT_TYPES)
     seed = get_int(flat, "seed", default=0)
     report_every = get_int(flat, "eval.report_every", default=DEFAULT_REPORT_EVERY)
+    if report_every < 1:
+        raise ConfigError("eval.report_every must be >= 1")
     window = get_int(flat, "eval.window", default=200)
+    if window < 1:
+        raise ConfigError("eval.window must be >= 1")
     fmt = get_str(flat, "output.format", default="csv", choices=("csv", "json"))
     out_path = get_str(flat, "output.path", required=True)
     if not os.path.isabs(out_path):
@@ -257,11 +261,14 @@ def run_experiment(flat: dict, out_dir: str = ".") -> dict:
         prefix_size = get_int(flat, "prefix_size", required=True)
         if prefix_size < 1:
             raise ConfigError("prefix_size must be >= 1")
+        folds = get_int(flat, "cash.folds", default=3)
+        if folds < 2:
+            raise ConfigError("cash.folds must be >= 2")
         space = _build_space(flat)
         prefix = _take_prefix(source, prefix_size)
         result = cash_search(
             prefix, source.schema, space,
-            folds=get_int(flat, "cash.folds", default=3),
+            folds=folds,
             budget=get_int(flat, "cash.budget"),
             seed=derive_seed(seed, "cash"),
             epochs=get_int(flat, "cash.epochs", default=1),

@@ -83,16 +83,6 @@ def get_int(flat: dict[str, str], key: str, default: Optional[int] = None,
         raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
 
 
-def get_float(flat: dict[str, str], key: str, default: Optional[float] = None) -> Optional[float]:
-    value = flat.get(key)
-    if value is None or value == "":
-        return default
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {value!r}") from None
-
-
 def get_list(flat: dict[str, str], key: str, default: Optional[list[str]] = None) -> Optional[list[str]]:
     value = flat.get(key)
     if value is None or value == "":

@@ -187,7 +187,6 @@ class Adwin:
         self._levels: list[deque[float]] = [deque()]
         self.width = 0
         self.total = 0.0
-        self.n_seen = 0
         self.n_detections = 0
 
     @property
@@ -197,7 +196,6 @@ class Adwin:
     def update(self, x: float) -> PredictorStatus:
         if not 0.0 <= x <= 1.0:
             raise ValueError(f"adwin input must be in [0, 1], got {x!r}")
-        self.n_seen += 1
         self._insert(x)
         if self.width < self.min_window:
             return STABLE

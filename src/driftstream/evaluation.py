@@ -85,6 +85,8 @@ def _test_then_train(source: InstanceStream, learner: Learner, report_every: int
     """
     if report_every < 1:
         raise ValueError("report_every must be >= 1")
+    if window < 1:
+        raise ValueError("window must be >= 1")
     scorer = _Scorer(source.schema.n_classes, window)
     # detectors declare their polarity: drift monitors of the error rate
     # consume the error bit, windowed-mean monitors the correctness bit

@@ -32,6 +32,7 @@ class NaiveBayes(Learner):
             {i: [0] * schema.features[i].arity for i in schema.categorical_indexes()}
             for _ in range(C)
         ]
+        self._frozen = None  # per-class tables, built by freeze()
 
     def _learn(self, inst: Instance) -> None:
         c = inst.y
@@ -56,5 +57,48 @@ class NaiveBayes(Learner):
             score += math.log((counts[int(x[i])] + 1.0) / (n_c + arity))
         return score
 
+    def freeze(self) -> "NaiveBayes":
+        """Freeze, and precompute what every prediction of the frozen model
+        shares: per class the log prior, ``(i, mean, var, log(2 pi) + log(var))``
+        per numeric feature and the smoothed log likelihood of each value per
+        categorical feature. ``_log_joints`` then adds the same floats in the
+        same order as ``_log_joint``, so every score is equal."""
+        super().freeze()
+        total = sum(self.class_counts)
+        self._frozen = []
+        for c, n_c in enumerate(self.class_counts):
+            if n_c == 0:
+                self._frozen.append(None)
+                continue
+            numeric = []
+            for i, stats in self._num[c].items():
+                var = max(stats.variance(), _VAR_FLOOR)
+                numeric.append((i, stats.mean, var, _LOG_2PI + math.log(var)))
+            categorical = [
+                (i, [math.log((count + 1.0) / (n_c + len(counts))) for count in counts])
+                for i, counts in self._cat[c].items()
+            ]
+            self._frozen.append((math.log(n_c / total), numeric, categorical))
+        return self
+
+    def _log_joints(self, x: Sequence[float]) -> list[float]:
+        """The score of each class: from the tables once frozen, else from
+        the counts."""
+        if self._frozen is None:
+            return [self._log_joint(x, c) for c in range(self.n_classes)]
+        scores = []
+        for table in self._frozen:
+            if table is None:
+                scores.append(-math.inf)
+                continue
+            score, numeric, categorical = table
+            for i, mean, var, log_norm in numeric:
+                diff = x[i] - mean
+                score += -0.5 * (log_norm + diff * diff / var)
+            for i, log_likelihood in categorical:
+                score += log_likelihood[int(x[i])]
+            scores.append(score)
+        return scores
+
     def _predict(self, x: Sequence[float]) -> int:
-        return argmax_lowest([self._log_joint(x, c) for c in range(self.n_classes)])
+        return argmax_lowest(self._log_joints(x))

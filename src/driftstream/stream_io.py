@@ -9,19 +9,20 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
-from .core import (
-    CATEGORICAL,
-    Feature,
-    FeatureSchema,
-    Instance,
-    validate_instance,
-)
+from .core import CATEGORICAL, Feature, FeatureSchema, Instance
 from .evaluation import MetricTrace, TraceRecord
 from .generators import InstanceStream
+
+try:
+    from operator import call as _call  # Python 3.11+
+except ImportError:
+    def _call(function, argument):
+        return function(argument)
 
 TRACE_COLUMNS = ("seq", "cum_accuracy", "window_accuracy", "kappa", "drift", "active_learner")
 TRACE_VERSION = 1
@@ -39,12 +40,52 @@ class TopicOverflowError(RuntimeError):
     pass
 
 
+class _ColumnScan:
+    """What ``infer_schema`` types one column from, gathered row by row:
+    whether any token parses as a number, the first row whose token does not,
+    and the distinct tokens up to the first one that does (after it the
+    column is numeric or mixed, and its tokens are never needed)."""
+
+    __slots__ = ("col", "numeric_seen", "first_bad_row", "tokens")
+
+    def __init__(self, col: int):
+        self.col = col
+        self.numeric_seen = False
+        self.first_bad_row: Optional[int] = None
+        self.tokens: Optional[dict[str, None]] = {}
+
+    def see(self, token: str, rowno: int) -> None:
+        """Take the column's token of row ``rowno``."""
+        tokens = self.tokens
+        if tokens is not None and token in tokens:
+            return  # already known not to parse
+        try:
+            float(token)
+        except ValueError:
+            if self.first_bad_row is None:
+                self.first_bad_row = rowno
+            if tokens is not None:
+                tokens[token] = None
+            return
+        self.numeric_seen = True
+        self.tokens = None
+
+
 @dataclass
 class DatasetFile:
+    """A CSV file's header and what one validating pass over its rows found:
+    a scan per feature column (in header order) and the label classes in
+    first-seen order. No row is kept; a replay reads the file again.
+
+    Rows are numbered from 1 after the header, blank lines included, in every
+    error message about them.
+    """
+
     path: str
     header: list[str]
     label_column: str
-    rows: list[list[str]]
+    scans: list[_ColumnScan]
+    classes: tuple[str, ...]
 
     @property
     def label_index(self) -> int:
@@ -56,135 +97,144 @@ class DatasetFile:
 
 
 def read_dataset(path: str, label_column: Optional[str] = None) -> DatasetFile:
+    """Check every row's field count and gather what ``infer_schema`` needs,
+    in one pass that holds no row."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise DatasetError(f"{path}: empty file") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=1):
+        width = len(header)
+        label = header[-1] if label_column is None else label_column
+        # an unknown label column is reported after the rows, as a row error comes first
+        label_index = header.index(label) if label in header else None
+        scans = [_ColumnScan(col) for col in range(width) if col != label_index]
+        classes: dict[str, None] = {}
+        n_rows = 0
+        for rowno, row in enumerate(reader, start=1):
             if not row:
                 continue
-            if len(row) != len(header):
-                raise DatasetError(f"{path}: row {lineno} has {len(row)} fields, header has {len(header)}")
-            rows.append(row)
-    if not rows:
+            if len(row) != width:
+                raise DatasetError(f"{path}: row {rowno} has {len(row)} fields, header has {width}")
+            n_rows += 1
+            for scan in scans:
+                scan.see(row[scan.col], rowno)
+            if label_index is not None:
+                classes.setdefault(row[label_index])
+    if not n_rows:
         raise DatasetError(f"{path}: no data rows")
-    if label_column is None:
-        label_column = header[-1]
-    elif label_column not in header:
+    if label_index is None:
         raise DatasetError(f"{path}: label column {label_column!r} not in header")
-    return DatasetFile(path=path, header=header, label_column=label_column, rows=rows)
+    return DatasetFile(path=path, header=header, label_column=label,
+                       scans=scans, classes=tuple(classes))
 
 
-def _parses_numeric(token: str) -> bool:
-    try:
-        float(token)
-        return True
-    except ValueError:
-        return False
-
-
-def infer_schema(dataset: DatasetFile, sample_rows: Optional[int] = None) -> FeatureSchema:
-    """Type feature columns from the data: numeric iff every sampled value
-    parses as a real, categorical from the observed tokens otherwise. A column
-    mixing numeric and non-numeric tokens is reported with its row number.
+def infer_schema(dataset: DatasetFile) -> FeatureSchema:
+    """Type feature columns from the data: numeric iff every value parses as
+    a real, categorical from the observed tokens otherwise. A column mixing
+    numeric and non-numeric tokens is reported with its row number.
 
     Label classes are the distinct label values over the whole file, in
     first-seen order.
     """
-    sampled = dataset.rows if sample_rows is None else dataset.rows[:sample_rows]
-    if not sampled:
-        raise DatasetError(f"{dataset.path}: no rows to sample")
     features = []
-    for col in dataset.feature_columns:
-        name = dataset.header[col]
-        numeric_seen = False
-        tokens: dict[str, None] = {}
-        first_bad_row = None
-        for rowno, row in enumerate(sampled, start=1):
-            if _parses_numeric(row[col]):
-                numeric_seen = True
-            elif first_bad_row is None:
-                first_bad_row = rowno
-            tokens.setdefault(row[col])
-        if first_bad_row is None:
+    for scan in dataset.scans:
+        name = dataset.header[scan.col]
+        if scan.first_bad_row is None:
             features.append(Feature(name))
-        elif numeric_seen:
+        elif scan.numeric_seen:
             raise DatasetError(
                 f"{dataset.path}: column {name!r} mixes numeric and non-numeric "
-                f"values (first non-numeric at row {first_bad_row})"
+                f"values (first non-numeric at row {scan.first_bad_row})"
             )
         else:
-            values = tuple(tokens)
+            values = tuple(scan.tokens)
             if len(values) < 2:
                 raise DatasetError(f"{dataset.path}: column {name!r} has a single value")
             features.append(Feature(name, CATEGORICAL, len(values), values))
-    classes: dict[str, None] = {}
-    label_index = dataset.label_index
-    for row in dataset.rows:
-        classes.setdefault(row[label_index])
-    if len(classes) < 2:
+    if len(dataset.classes) < 2:
         raise DatasetError(f"{dataset.path}: label column has fewer than 2 classes")
     return FeatureSchema(
         features=tuple(features),
         label_name=dataset.label_column,
-        classes=tuple(classes),
+        classes=dataset.classes,
     )
 
 
 class CsvReplayStream(InstanceStream):
-    """Finite stream over a dataset's rows, validated against a schema."""
+    """Finite stream over a dataset's rows, read from its file again and
+    validated against a schema. The file is open from the first pull until
+    the last row, an error or the stream's collection."""
 
     def __init__(self, dataset: DatasetFile, schema: FeatureSchema):
         super().__init__()
         self.schema = schema
-        self._dataset = dataset
-        self._row = 0
-        self._feature_columns = dataset.feature_columns
-        self._label_index = dataset.label_index
-        self._value_maps = [
-            {v: float(i) for i, v in enumerate(f.values)} if not f.is_numeric else None
-            for f in schema.features
-        ]
+        # a generator, which holds no reference to the stream, so a stream
+        # dropped before its end is collected at once and closes the file
+        self._instances = _replay(dataset, schema)
 
     def __next__(self) -> Instance:
-        if self._row >= len(self._dataset.rows):
-            raise StopIteration
-        row = self._dataset.rows[self._row]
-        self._row += 1
-        rowno = self._row
-        x = []
-        for j, col in enumerate(self._feature_columns):
-            token = row[col]
-            feat = self.schema.features[j]
-            if feat.is_numeric:
-                try:
-                    x.append(float(token))
-                except ValueError:
-                    raise DatasetError(
-                        f"{self._dataset.path}: row {rowno}: {token!r} is not numeric "
-                        f"for feature {feat.name!r}"
-                    ) from None
-            else:
-                try:
-                    x.append(self._value_maps[j][token])
-                except KeyError:
-                    raise DatasetError(
-                        f"{self._dataset.path}: row {rowno}: value {token!r} outside the "
-                        f"declared categories of {feat.name!r}"
-                    ) from None
-        label = row[self._label_index]
+        return next(self._instances)
+
+
+def _replay(dataset: DatasetFile, schema: FeatureSchema) -> Iterator[Instance]:
+    """The instances of ``dataset``'s data rows, each checked against
+    ``schema``, with ``seq`` from 0; a faulty row raises a DatasetError
+    naming it."""
+    path, width = dataset.path, len(dataset.header)
+    if schema.n_features != width - 1:
+        raise DatasetError(f"{path}: {width - 1} feature columns, "
+                           f"schema declares {schema.n_features}")
+    label_index = dataset.label_index
+    # one converter per file column: a token to a feature value, or to the
+    # class index for the label; float and a dict lookup raise on a bad token
+    converters = [
+        float if f.is_numeric else {v: float(i) for i, v in enumerate(f.values)}.__getitem__
+        for f in schema.features
+    ]
+    converters.insert(label_index, {c: i for i, c in enumerate(schema.classes)}.__getitem__)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != dataset.header:
+            raise DatasetError(f"{path}: header changed since the file was read")
+        seq = 0
+        for rowno, row in enumerate(reader, start=1):
+            if not row:
+                continue
+            if len(row) != width:
+                raise DatasetError(f"{path}: row {rowno} has {len(row)} fields, header has {width}")
+            try:
+                x = list(map(_call, converters, row))
+            except (ValueError, KeyError):
+                raise _conversion_error(dataset, schema, converters, rowno, row) from None
+            y = x.pop(label_index)
+            if not all(map(math.isfinite, x)):
+                j = next(j for j, value in enumerate(x) if not math.isfinite(value))
+                raise DatasetError(
+                    f"{path}: row {rowno}: {row[dataset.feature_columns[j]]!r} is not "
+                    f"a finite number for feature {schema.features[j].name!r}"
+                )
+            yield Instance(x, y, seq)
+            seq += 1
+
+
+def _conversion_error(dataset: DatasetFile, schema: FeatureSchema, converters: list,
+                      rowno: int, row: list[str]) -> DatasetError:
+    """The first token of a row that does not convert: features in schema
+    order, then the label."""
+    where = f"{dataset.path}: row {rowno}:"
+    for feat, col in zip(schema.features, dataset.feature_columns):
+        token = row[col]
         try:
-            y = self.schema.class_index(label)
-        except Exception:
-            raise DatasetError(
-                f"{self._dataset.path}: row {rowno}: unknown class {label!r}"
-            ) from None
-        inst = self._emit(x, y)
-        validate_instance(inst, self.schema)
-        return inst
+            converters[col](token)
+        except ValueError:
+            return DatasetError(f"{where} {token!r} is not numeric for feature {feat.name!r}")
+        except KeyError:
+            return DatasetError(
+                f"{where} value {token!r} outside the declared categories of {feat.name!r}"
+            )
+    return DatasetError(f"{where} unknown class {row[dataset.label_index]!r}")
 
 
 def replay_csv(path_or_dataset, schema: Optional[FeatureSchema] = None,

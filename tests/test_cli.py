@@ -430,6 +430,27 @@ def test_unknown_algorithm_exits_one(tmp_path, capsys, line, replacement):
     assert "unknown algorithm 'naive_bays'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("eval.window", "0"),
+    ("eval.report_every", "0"),
+    ("cash.folds", "1"),
+])
+def test_value_that_would_fail_later_exits_one(tmp_path, capsys, key, value):
+    cfg = write_cfg(tmp_path, "v.cfg", f"""
+experiment = cash_pretrained
+source.kind = generator
+source.family = sea
+source.n = 1000
+prefix_size = 200
+cash.space.naive_bayes =
+{key} = {value}
+output.path = v.csv
+""")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert f"config error: {key} must be >= " in capsys.readouterr().err
+    assert not (tmp_path / "v.csv").exists()
+
+
 def test_source_key_without_flat_value_is_ignored(tmp_path):
     # rbf's centroid weights take a list; source.weights is not read
     cfg = write_cfg(tmp_path, "w.cfg", ONLINE_CFG.format(out="w.csv", fmt="csv").replace(

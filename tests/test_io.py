@@ -1,13 +1,15 @@
 import threading
 import time
+import tracemalloc
 
 import pytest
 
 from driftstream.core import CATEGORICAL, Feature, FeatureSchema, Instance
 from driftstream.evaluation import MetricTrace, TraceRecord, run_prequential
-from driftstream.generators import AgrawalGenerator, StaggerGenerator
+from driftstream.generators import AgrawalGenerator, LimitedStream, SeaGenerator, StaggerGenerator
 from driftstream.meta import MetaEnsemble
 from driftstream.stream_io import (
+    CsvReplayStream,
     DatasetError,
     Topic,
     TopicHub,
@@ -20,6 +22,8 @@ from driftstream.stream_io import (
     write_trace,
 )
 from conftest import ONE_NUMERIC, RuleLearner, ThresholdConceptStream
+
+ONE_NUMERIC_CLS = FeatureSchema(features=(Feature("x"),), label_name="cls", classes=("0", "1"))
 
 
 # -- schema inference ---------------------------------------------------------
@@ -135,6 +139,69 @@ def test_generated_mixed_dataset_round_trips_numeric_kinds(tmp_path):
     replayed = list(replay_csv(read_dataset(path), gen.schema))
     assert [i.y for i in replayed] == [i.y for i in insts]
     assert replayed[0].x == insts[0].x  # repr round-trip is exact
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "1e999"])
+def test_replay_non_finite_value_names_file_and_row(tmp_csv, token):
+    path = tmp_csv("n.csv", f"x,cls\n1,0\n{token},1\n")
+    stream = replay_csv(path)
+    next(stream)
+    with pytest.raises(DatasetError, match=rf"n\.csv: row 2: '{token}' is not a finite number"):
+        next(stream)
+
+
+def test_row_numbers_count_blank_lines_at_every_step(tmp_csv):
+    # the same data line (row 3, after a blank line) is named by all three steps
+    def file(name, bad):
+        return tmp_csv(name, f"x,cls\n1.0,0\n\n{bad}\n2.0,1\n")
+
+    with pytest.raises(DatasetError, match="row 3 has 3 fields"):
+        read_dataset(file("r.csv", "3.0,0,9"))
+    with pytest.raises(DatasetError, match="first non-numeric at row 3"):
+        infer_schema(read_dataset(file("s.csv", "red,0")))
+    stream = replay_csv(file("t.csv", "3.0,7"), ONE_NUMERIC_CLS)
+    next(stream)
+    with pytest.raises(DatasetError, match="row 3: unknown class"):
+        next(stream)
+
+
+def test_row_length_error_mid_file_raises_before_replay(tmp_csv):
+    rows = [f"{i}.5,{i % 2}" for i in range(4000)]
+    rows[2500] += ",9"
+    path = tmp_csv("mid.csv", "x,cls\n" + "\n".join(rows) + "\n")
+    with pytest.raises(DatasetError, match="row 2501 has 3 fields"):
+        read_dataset(path)
+    with pytest.raises(DatasetError, match="row 2501"):
+        replay_csv(path)  # reads the whole file before it yields anything
+
+
+def test_replay_rejects_a_schema_or_header_that_no_longer_fits(tmp_csv):
+    path = tmp_csv("w.csv", "x,cls\n1,0\n2,1\n")
+    two = FeatureSchema(features=(Feature("x"), Feature("z")), label_name="cls")
+    with pytest.raises(DatasetError, match="1 feature columns, schema declares 2"):
+        next(replay_csv(read_dataset(path), two))
+    dataset = read_dataset(path)
+    tmp_csv("w.csv", "y,cls\n1,0\n2,1\n")  # the file changes between the two reads
+    with pytest.raises(DatasetError, match="header changed"):
+        next(replay_csv(dataset, ONE_NUMERIC_CLS))
+
+
+def test_reading_and_replaying_holds_no_rows(tmp_path):
+    def peak_bytes(n):
+        path = str(tmp_path / f"sea{n}.csv")
+        write_dataset(LimitedStream(SeaGenerator(seed=1), n), SeaGenerator.schema, path)
+        tracemalloc.start()
+        try:
+            dataset = read_dataset(path)
+            for _ in CsvReplayStream(dataset, infer_schema(dataset)):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak_bytes(4_000), peak_bytes(40_000)
+    # holding the 36 000 extra rows would take megabytes
+    assert large - small < 64 * 1024, (small, large)
 
 
 # -- topics ------------------------------------------------------------------------

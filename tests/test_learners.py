@@ -26,7 +26,7 @@ from driftstream.learners import (
     poisson,
     train_batch,
 )
-from driftstream.generators import DriftStream, LimitedStream, StaggerGenerator
+from driftstream.generators import AgrawalGenerator, DriftStream, LimitedStream, StaggerGenerator
 from driftstream.learners.ensembles import LeveragingBagging, OzaBagging, OzaBaggingAdwin
 from driftstream.learners.tree import HoeffdingTree
 
@@ -121,6 +121,37 @@ def test_naive_bayes_prediction_purity():
         nb.partial_fit(inst([float(i % 3)], i % 2))
     first = nb.predict([1.0])
     assert nb.predict([1.0]) == first
+
+
+def test_frozen_naive_bayes_scores_equal_unfrozen_log_joint():
+    # Agrawal features with a third class that never occurs, a salary that is
+    # constant in training (variance at the floor) and class B never seen
+    # with a car above car11
+    schema = FeatureSchema(features=AgrawalGenerator.schema.features,
+                           label_name="group", classes=("A", "B", "C"))
+    salary, car = 0, 4
+    frozen, reference = NaiveBayes(schema), NaiveBayes(schema)
+    for inst_ in AgrawalGenerator(seed=5).take(2000):
+        x = list(inst_.x)
+        x[salary] = 50000.0
+        if inst_.y == 1:
+            x[car] = min(x[car], 10.0)
+        for model in (frozen, reference):
+            model.partial_fit(Instance(x, inst_.y))
+    frozen.freeze()
+    assert reference._frozen is None
+    cars_above = 0
+    for query in AgrawalGenerator(concept=3, seed=6).take(3000):
+        x = list(query.x)
+        if query.seq % 2:
+            # any other salary makes its term swamp the rest of the score
+            x[salary] = 50000.0
+        expected = [reference._log_joint(x, c) for c in range(3)]
+        assert expected[2] == -math.inf
+        assert frozen._log_joints(x) == expected
+        assert frozen.predict(x) == reference.predict(x)
+        cars_above += x[car] > 10.0
+    assert cars_above > 0
 
 
 # -- knn -------------------------------------------------------------------------
