@@ -117,17 +117,16 @@ def _build_generator(flat: dict, seed: int):
 def build_source(flat: dict, seed: int):
     kind = get_str(flat, "source.kind", required=True,
                    choices=("generator", "csv", "topic"))
+    n = get_int(flat, "source.n", default=DEFAULT_N if kind == "generator" else None)
+    if n is not None and n < 1:
+        raise ConfigError("source.n must be >= 1")
     if kind == "generator":
         stream, label = _build_generator(flat, seed)
-        n = get_int(flat, "source.n", default=DEFAULT_N)
-        if n < 1:
-            raise ConfigError("source.n must be >= 1")
         return LimitedStream(stream, n), label
     # `topic` replays the CSV exactly like `csv`; only the dataset label differs
     path = get_str(flat, "source.path", required=True)
     dataset = read_dataset(path, get_str(flat, "source.label"))
     stream = replay_csv(dataset, infer_schema(dataset))
-    n = get_int(flat, "source.n")
     if n is not None:
         stream = LimitedStream(stream, n)
     return stream, f"{kind}:{os.path.splitext(os.path.basename(path))[0]}"
@@ -137,6 +136,15 @@ def _learner_params(flat: dict, algorithm: str) -> dict:
     params = {k: auto_value(v) for k, v in section(flat, "learner.params").items()}
     _check_params("learner.params", algorithm, params)
     return params
+
+
+def _construct(what: str, factory, *args, **kwargs):
+    """Build a learner before the first instance is pulled: a ValueError its
+    constructor raises means a config value is out of range."""
+    try:
+        return factory(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 def _build_detectors(flat: dict):
@@ -226,8 +234,9 @@ def run_experiment(flat: dict, out_dir: str = ".") -> dict:
         prefix_size = get_int(flat, "prefix_size", required=True)
         if prefix_size < 1:
             raise ConfigError("prefix_size must be >= 1")
-        learner = make_learner(algorithm, source.schema, seed=derive_seed(seed, "learner"),
-                               **_learner_params(flat, algorithm))
+        learner = _construct(f"learner {algorithm}", make_learner, algorithm, source.schema,
+                             seed=derive_seed(seed, "learner"),
+                             **_learner_params(flat, algorithm))
         prefix = _take_prefix(source, prefix_size)
         train_batch(learner, prefix, epochs=get_int(flat, "learner.epochs", default=1))
         trace = evaluate_pretrained(source, learner, report_every=report_every, window=window)
@@ -237,8 +246,9 @@ def run_experiment(flat: dict, out_dir: str = ".") -> dict:
         algorithm = get_str(flat, "learner.algorithm", required=True)
         if algorithm in BATCH_ALGORITHMS:
             raise ConfigError(f"online requires an incremental algorithm, got {algorithm!r}")
-        learner = make_learner(algorithm, source.schema, seed=derive_seed(seed, "learner"),
-                               **_learner_params(flat, algorithm))
+        learner = _construct(f"learner {algorithm}", make_learner, algorithm, source.schema,
+                             seed=derive_seed(seed, "learner"),
+                             **_learner_params(flat, algorithm))
         protocol = get_str(flat, "eval.protocol", default="prequential",
                            choices=("prequential", "holdout"))
         if protocol == "holdout":
@@ -250,10 +260,12 @@ def run_experiment(flat: dict, out_dir: str = ".") -> dict:
                 period=get_int(flat, "eval.period", required=True),
             )
         else:
+            pretrain = get_int(flat, "eval.pretrain", default=0)
+            if pretrain < 0:
+                raise ConfigError("eval.pretrain must be >= 0")
             trace = run_prequential(
                 source, learner, report_every=report_every, window=window,
-                pretrain=get_int(flat, "eval.pretrain", default=0),
-                detectors=_build_detectors(flat),
+                pretrain=pretrain, detectors=_build_detectors(flat),
             )
         learner_label = algorithm
 
@@ -289,8 +301,8 @@ def run_experiment(flat: dict, out_dir: str = ".") -> dict:
             make_learner(name, source.schema, seed=derive_seed(seed, f"member{i}"))
             for i, name in enumerate(roster)
         ]
-        ensemble = MetaEnsemble(
-            source.schema, members, mode=mode,
+        ensemble = _construct(
+            "meta_online", MetaEnsemble, source.schema, members, mode=mode,
             window=get_int(flat, "learner.window", default=300),
             seed=derive_seed(seed, "meta"),
         )

@@ -8,6 +8,8 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Optional, Sequence
 
+import numpy as np
+
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 
@@ -141,17 +143,39 @@ def validate_instance(instance: Instance, schema: FeatureSchema) -> Instance:
     return instance
 
 
+class OneHotEncoder:
+    """One-hot layout of a schema, worked out once: numeric values pass
+    through, each categorical feature becomes a block of indicator columns."""
+
+    def __init__(self, schema: FeatureSchema):
+        self.numeric: list[tuple[int, int]] = []             # (position, feature)
+        self.categorical: list[tuple[int, int, int]] = []    # (feature, offset, arity)
+        dim = 0
+        for i, feat in enumerate(schema.features):
+            if feat.is_numeric:
+                self.numeric.append((dim, i))
+                dim += 1
+            else:
+                self.categorical.append((i, dim, feat.arity))
+                dim += feat.arity
+        self.dim = dim
+
+    def __call__(self, x: Sequence[float]) -> np.ndarray:
+        v = np.zeros(self.dim)
+        for pos, i in self.numeric:
+            v[pos] = x[i]
+        for i, offset, arity in self.categorical:
+            k = int(x[i])
+            if not 0 <= k < arity:
+                raise CategoricalOutOfRangeError(
+                    f"feature {i}: value {x[i]!r} outside arity {arity}")
+            v[offset + k] = 1.0
+        return v
+
+
 def one_hot(x: Sequence[float], schema: FeatureSchema) -> list[float]:
     """Expand categorical features to indicator columns; numerics pass through."""
-    out: list[float] = []
-    for i, feat in enumerate(schema.features):
-        if feat.is_numeric:
-            out.append(float(x[i]))
-        else:
-            block = [0.0] * feat.arity
-            block[int(x[i])] = 1.0
-            out.extend(block)
-    return out
+    return OneHotEncoder(schema)(x).tolist()
 
 
 class PredictorStatus(IntEnum):

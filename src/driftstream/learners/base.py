@@ -26,9 +26,20 @@ class Learner:
 
     Batch algorithms subclass BatchLearner instead and are trained once via
     train_batch, after which they are frozen (predict-only).
+
+    Predict-then-learn handover: in a test-then-train step ``_learn`` often
+    needs what ``_predict`` just computed for the same ``x`` (a leaf and its
+    answer, an encoded vector, member answers). ``_predict`` may hand that
+    over with ``self._keep(x, state)``. ``partial_fit`` passes it on as
+    ``_learn(inst, state)`` only when ``inst.x`` equals the kept ``x`` by
+    value; otherwise, and for learners that keep nothing, it calls
+    ``_learn(inst)``. Every ``predict`` and every ``partial_fit`` call drops
+    the kept state first, so it never outlives a learn step and is only
+    reused while the model is unchanged since it was computed.
     """
 
     algorithm = "base"
+    _kept: Optional[tuple[tuple, object]] = None
 
     def __init__(self, schema: FeatureSchema, seed: int = 0,
                  default_class: Optional[int] = None):
@@ -41,15 +52,20 @@ class Learner:
         self._events: list[tuple[str, str]] = []
 
     def partial_fit(self, inst: Instance) -> "Learner":
+        kept, self._kept = self._kept, None
         if self.frozen:
             raise FrozenLearnerError(f"{self.algorithm} is frozen; it cannot be updated")
         if inst.y is None:
             raise UnlabeledInstanceError("cannot train on an unlabeled instance")
-        self._learn(inst)
+        if kept is not None and kept[0] == tuple(inst.x):
+            self._learn(inst, kept[1])
+        else:
+            self._learn(inst)
         self.fitted = True
         return self
 
     def predict(self, x: Sequence[float]) -> int:
+        self._kept = None
         if not self.fitted:
             if self.default_class is not None:
                 return self.default_class
@@ -63,6 +79,10 @@ class Learner:
     def drain_events(self) -> list[tuple[str, str]]:
         events, self._events = self._events, []
         return events
+
+    def _keep(self, x: Sequence[float], state) -> None:
+        """Hand ``state``, computed by ``_predict`` for ``x``, to the next ``_learn``."""
+        self._kept = (tuple(x), state)
 
     def _learn(self, inst: Instance) -> None:
         raise NotImplementedError

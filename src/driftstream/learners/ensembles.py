@@ -32,14 +32,11 @@ class OzaBagging(Learner):
         self.members = [member_factory(self._rng.getrandbits(32))
                         for _ in range(n_members)]
         self.detectors = [Adwin() for _ in self.members] if self.member_adwin else None
-        self._answered: tuple[tuple, dict[int, int]] = ((), {})
 
-    def _learn(self, inst: Instance) -> None:
-        answered_x, answers = self._answered
-        self._answered = ((), {})
+    def _learn(self, inst: Instance, answers: Optional[dict[int, int]] = None) -> None:
+        """``answers``: the fitted members' answers ``_predict`` got for ``inst.x``."""
         if self.detectors is not None:
-            if answered_x != tuple(inst.x):
-                answers = {}
+            answers = answers or {}
             drifted = False
             for j, (member, detector) in enumerate(zip(self.members, self.detectors)):
                 if member.fitted:
@@ -62,10 +59,9 @@ class OzaBagging(Learner):
         self._events.append((f"{self.algorithm}.member{worst}", "drift"))
 
     def _predict(self, x: Sequence[float]) -> int:
-        # Member answers for this x, which _learn reuses for the error bits
-        # while no member has learned since (test-then-train asks each once).
         answers = {j: m.predict(x) for j, m in enumerate(self.members) if m.fitted}
-        self._answered = (tuple(x), answers)
+        if self.detectors is not None:
+            self._keep(x, answers)
         votes = [(pred, 1.0) for pred in answers.values()]
         if not votes:
             return self.default_class if self.default_class is not None else 0

@@ -109,6 +109,7 @@ class HoeffdingTree(Learner):
         self.tau = tau
         self.max_depth = max_depth
         self.root = _Node(self.n_classes)
+        self._numeric = tuple(f.is_numeric for f in schema.features)
 
     @property
     def n_nodes(self) -> int:
@@ -125,7 +126,12 @@ class HoeffdingTree(Learner):
 
     # -- learning ----------------------------------------------------------
 
-    def _learn(self, inst: Instance) -> None:
+    def _learn(self, inst: Instance,
+               kept: Optional[tuple[_Node, Optional[int]]] = None) -> None:
+        """``kept``: the leaf ``_predict`` reached and its naive-Bayes answer, if any."""
+        if kept is not None:
+            self._leaf_learn(kept[0], inst, kept[1])
+            return
         node = self.root
         while not node.is_leaf:
             node = node.children[node.split.branch(inst.x)]
@@ -150,9 +156,9 @@ class HoeffdingTree(Learner):
 
     def _update_stats(self, node: _Node, inst: Instance) -> None:
         node.class_counts[inst.y] += 1
-        for i, feat in enumerate(self.schema.features):
+        for i, numeric in enumerate(self._numeric):
             v = inst.x[i]
-            if feat.is_numeric:
+            if numeric:
                 per_class = node.num_stats.get(i)
                 if per_class is None:
                     per_class = [RunningStats() for _ in range(self.n_classes)]
@@ -164,7 +170,8 @@ class HoeffdingTree(Learner):
             else:
                 table = node.cat_stats.get(i)
                 if table is None:
-                    table = [[0] * self.n_classes for _ in range(feat.arity)]
+                    arity = self.schema.features[i].arity
+                    table = [[0] * self.n_classes for _ in range(arity)]
                     node.cat_stats[i] = table
                 table[int(v)][inst.y] += 1
 
@@ -221,15 +228,15 @@ class HoeffdingTree(Learner):
         if len([c for c in node.class_counts if c > 0]) < 2:
             return  # pure leaf: every gain is zero
         candidates: list[tuple[float, _Split]] = []
-        for i, feat in enumerate(self.schema.features):
-            if feat.is_numeric:
+        for i, numeric in enumerate(self._numeric):
+            if numeric:
                 cut = self._numeric_best_cut(node, i)
                 if cut is not None:
                     candidates.append((cut[0], _Split(i, cut[1], 2)))
             else:
                 gain = self._categorical_gain(node, i)
                 if gain is not None:
-                    candidates.append((gain, _Split(i, None, feat.arity)))
+                    candidates.append((gain, _Split(i, None, self.schema.features[i].arity)))
         if not candidates:
             return
         best_gain, best_split = candidates[0]
@@ -277,25 +284,20 @@ class HoeffdingTree(Learner):
             scores.append(score)
         return argmax_lowest(scores)
 
-    def _predict_from(self, node: _Node, x: Sequence[float]) -> Optional[int]:
-        fallback = None
+    def _predict(self, x: Sequence[float]) -> int:
+        node, fallback, nb = self.root, None, None
         while not node.is_leaf:
             if node.total > 0:
                 fallback = node
             node = node.children[node.split.branch(x)]
         if node.total == 0:
-            return argmax_lowest(fallback.class_counts) if fallback else None
-        if node.nb_correct > node.mc_correct:
-            return self._leaf_nb(node, x)
-        return argmax_lowest(node.class_counts)
-
-    def _predict(self, x: Sequence[float]) -> int:
-        pred = self._predict_from(self.root, x)
-        if pred is None:
-            if self.default_class is not None:
-                return self.default_class
-            return 0
-        return pred
+            pred = argmax_lowest(fallback.class_counts) if fallback else None
+        elif node.nb_correct > node.mc_correct:
+            pred = nb = self._leaf_nb(node, x)
+        else:
+            pred = argmax_lowest(node.class_counts)
+        self._keep(x, (node, nb))
+        return (self.default_class or 0) if pred is None else pred
 
 
 class HoeffdingAdaptiveTree(HoeffdingTree):
@@ -315,12 +317,19 @@ class HoeffdingAdaptiveTree(HoeffdingTree):
         super().__init__(schema, seed, default_class, grace_period, delta, tau, max_depth)
         self.adwin_delta = adwin_delta
 
-    def _learn(self, inst: Instance) -> None:
+    def _predict(self, x: Sequence[float]) -> int:
+        walk = self._walk(self.root, x)
+        self._keep(x, walk)
+        pred = walk[1][0]
+        return (self.default_class or 0) if pred is None else pred
+
+    def _learn(self, inst: Instance, kept: Optional[tuple] = None) -> None:
+        """``kept`` is the root walk ``_predict`` made for ``inst.x``."""
         # Nothing on the main path changes before its leaf learns (alternates
         # are separate trees, and a swap ends the step), so one walk gives
         # every node's prediction.
         x, y = inst.x, inst.y
-        path, preds, nb = self._walk(self.root, x)
+        path, preds, nb = kept if kept is not None else self._walk(self.root, x)
         for i, (node, pred) in enumerate(zip(path, preds)):
             if node.adwin is None:
                 node.adwin = Adwin(delta=self.adwin_delta)
@@ -350,9 +359,9 @@ class HoeffdingAdaptiveTree(HoeffdingTree):
 
     def _walk(self, node: _Node, x: Sequence[float]
               ) -> tuple[list[_Node], list[Optional[int]], Optional[int]]:
-        """Walk from ``node`` to the leaf for ``x``. Returns the path, what
-        ``_predict_from`` answers from each node on it, and the leaf's
-        naive-Bayes answer (None when the leaf is empty)."""
+        """Walk from ``node`` to the leaf for ``x``. Returns the path, what the
+        subtree at each node on it answers (None without data at or below it
+        on the path), and the leaf's naive-Bayes answer (None if it is empty)."""
         path = [node]
         while not node.is_leaf:
             node = node.children[node.split.branch(x)]

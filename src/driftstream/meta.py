@@ -263,14 +263,11 @@ class MetaEnsemble(Learner):
         self.selector = selector if selector is not None else OnlineSelector(len(members))
         self.perf = PerformanceWeights(len(members), alpha)
         self._window = WindowState(hits=[0] * len(members))
-        self._answered: tuple[tuple, dict[int, int]] = ((), {})
         self.fitted = any(m.fitted for m in self.members)
 
     def _predict(self, x: Sequence[float]) -> int:
-        # Member answers for this x, which _learn reuses while no member has
-        # learned since (test-then-train asks each member once per step).
         answers: dict[int, int] = {}
-        self._answered = (tuple(x), answers)
+        self._keep(x, answers)
         if self.mode == "weighted_vote":
             votes = []
             for j, (m, w) in enumerate(zip(self.members, self.perf.weights)):
@@ -285,11 +282,9 @@ class MetaEnsemble(Learner):
         answers[j] = self.members[j].predict(x)
         return answers[j]
 
-    def _learn(self, inst: Instance) -> None:
-        answered_x, answers = self._answered
-        self._answered = ((), {})
-        if answered_x != tuple(inst.x):
-            answers = {}
+    def _learn(self, inst: Instance, answers: Optional[dict[int, int]] = None) -> None:
+        """``answers``: the member answers ``_predict`` got for ``inst.x``."""
+        answers = answers or {}
         correct = [
             int(m.fitted and (answers[j] if j in answers else m.predict(inst.x)) == inst.y)
             for j, m in enumerate(self.members)

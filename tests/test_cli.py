@@ -457,3 +457,55 @@ def test_source_key_without_flat_value_is_ignored(tmp_path):
         "source.family = sea\nsource.concept = 0", "source.family = rbf\nsource.weights = 1"))
     assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert read_trace(str(tmp_path / "w.csv")).final.seq == 1499
+
+
+@pytest.mark.parametrize("kind", ["csv", "topic"])
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_csv_source_n_below_one_exits_one_before_reading(tmp_path, capsys, monkeypatch,
+                                                         kind, n):
+    data = tmp_path / "d.csv"
+    data.write_text("x,label\n1.0,a\n2.0,b\n", encoding="utf-8")
+    reads = []
+    monkeypatch.setattr("driftstream.cli.read_dataset",
+                        lambda *args: reads.append(args) or read_dataset(*args))
+    cfg = write_cfg(tmp_path, "n.cfg", f"""
+experiment = online
+source.kind = {kind}
+source.path = {data}
+source.n = {n}
+learner.algorithm = majority_class
+output.path = n.csv
+""")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "config error: source.n must be >= 1" in capsys.readouterr().err
+    assert reads == []
+    assert not (tmp_path / "n.csv").exists()
+
+
+@pytest.mark.parametrize("experiment, lines, message", [
+    ("online", "learner.algorithm = knn_window\nlearner.params.k = 0",
+     "learner knn_window: k and window must be >= 1"),
+    ("online", "learner.algorithm = oza_bagging\nlearner.params.n_members = 0",
+     "learner oza_bagging: n_members must be >= 1"),
+    ("batch_pretrained", "learner.algorithm = cart_batch\nlearner.params.max_depth = 0\n"
+     "prefix_size = 10", "learner cart_batch: max_depth and min_leaf must be >= 1"),
+    ("meta_online", "learner.window = 0", "meta_online: window must be >= 1"),
+    ("online", "learner.algorithm = naive_bayes\neval.pretrain = -5",
+     "eval.pretrain must be >= 0"),
+], ids=["knn_window.k", "oza_bagging.n_members", "cart_batch.max_depth",
+        "meta_online.window", "eval.pretrain"])
+def test_value_rejected_before_first_instance_exits_one(tmp_path, capsys, experiment,
+                                                        lines, message):
+    data = tmp_path / "d.csv"
+    data.write_text("x,label\n" + "".join(f"{i}.0,{'ab'[i % 2]}\n" for i in range(40)),
+                    encoding="utf-8")
+    cfg = write_cfg(tmp_path, "b.cfg", f"""
+experiment = {experiment}
+source.kind = csv
+source.path = {data}
+{lines}
+output.path = b.csv
+""")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "b.csv").exists()

@@ -14,6 +14,7 @@ from driftstream.learners import (
     LEARNER_REGISTRY,
     LinearSGD,
     LinearSvmBatch,
+    LogisticSGD,
     MajorityClass,
     NaiveBayes,
     Perceptron,
@@ -311,6 +312,39 @@ def test_perceptron_differs_from_hinge_updates():
         p.partial_fit(d)
         h.partial_fit(d)
     assert (p.weights != h.weights).any()
+
+
+def test_logistic_sgd_margin_rule():
+    lin = LogisticSGD(NUM1)
+    lin.fitted = True
+    lin.weights[1][0] = 1.0
+    lin.bias[1] = -0.5
+    assert lin.predict([0.9]) == 1
+    assert lin.predict([0.1]) == 0
+
+
+def test_logistic_sgd_step_follows_sigmoid_gradient():
+    lin = LogisticSGD(NUM1, lr=0.1)
+    lin.partial_fit(inst([2.0], 1))
+    # zero weights: every class has p = 0.5, so the gradient is p - t = -+0.5
+    assert lin.weights.tolist() == [[-0.1 * 0.5 * 2.0], [0.1 * 0.5 * 2.0]]
+    assert lin.bias.tolist() == [-0.1 * 0.5, 0.1 * 0.5]
+    # a saturated margin takes p as exactly 0 or 1 instead of overflowing exp
+    lin.weights[:] = [[-1000.0], [1000.0]]
+    before = lin.weights.copy()
+    lin.partial_fit(inst([2.0], 1))
+    assert (lin.weights == before).all()
+
+
+def test_logistic_sgd_learns_threshold():
+    rng = random.Random(3)
+    lin = LogisticSGD(NUM1)
+    for i in range(4000):
+        x = rng.random()
+        lin.partial_fit(inst([x], int(x > 0.5), seq=i))
+    probes = [x / 100 for x in range(0, 100, 3) if abs(x / 100 - 0.5) > 0.1]
+    hits = sum(lin.predict([p]) == int(p > 0.5) for p in probes)
+    assert hits >= len(probes) - 2
 
 
 # -- batch trees -------------------------------------------------------------------
