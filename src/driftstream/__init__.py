@@ -14,7 +14,7 @@ from .drift import DDM, EDDM, Adwin, PageHinkley, make_detector
 from .evaluation import MetricTrace, TraceRecord, evaluate_pretrained, run_holdout, run_prequential
 from .generators import DriftStream, LimitedStream, make_generator
 from .learners import make_learner, train_batch
-from .meta import MetaEnsemble, extract_meta_features, meta_step, window_best_learner
+from .meta import MetaEnsemble, extract_meta_features, window_best_learner
 
 __version__ = "0.1.0"
 
@@ -38,7 +38,6 @@ __all__ = [
     "make_detector",
     "make_generator",
     "make_learner",
-    "meta_step",
     "run_holdout",
     "run_prequential",
     "train_batch",

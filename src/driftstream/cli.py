@@ -13,7 +13,7 @@ import time
 import typing
 from concurrent.futures import ProcessPoolExecutor
 
-from .cash import AlgorithmGrid, ConfigSpace, cash_search
+from .cash import AlgorithmGrid, ConfigSpace, cash_search, grid_expand
 from .config import (
     ConfigError,
     auto_value,
@@ -116,20 +116,19 @@ def _build_generator(flat: dict, seed: int):
 
 def build_source(flat: dict, seed: int):
     kind = get_str(flat, "source.kind", required=True,
-                   choices=("generator", "csv", "topic"))
+                   choices=("generator", "csv"))
     n = get_int(flat, "source.n", default=DEFAULT_N if kind == "generator" else None)
     if n is not None and n < 1:
         raise ConfigError("source.n must be >= 1")
     if kind == "generator":
         stream, label = _build_generator(flat, seed)
         return LimitedStream(stream, n), label
-    # `topic` replays the CSV exactly like `csv`; only the dataset label differs
     path = get_str(flat, "source.path", required=True)
     dataset = read_dataset(path, get_str(flat, "source.label"))
     stream = replay_csv(dataset, infer_schema(dataset))
     if n is not None:
         stream = LimitedStream(stream, n)
-    return stream, f"{kind}:{os.path.splitext(os.path.basename(path))[0]}"
+    return stream, f"csv:{os.path.splitext(os.path.basename(path))[0]}"
 
 
 def _learner_params(flat: dict, algorithm: str) -> dict:
@@ -145,6 +144,13 @@ def _construct(what: str, factory, *args, **kwargs):
         return factory(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{what}: {exc}") from exc
+
+
+def _get_epochs(flat: dict, key: str) -> int:
+    epochs = get_int(flat, key, default=1)
+    if epochs < 1:
+        raise ConfigError(f"{key} must be >= 1")
+    return epochs
 
 
 def _build_detectors(flat: dict):
@@ -234,11 +240,12 @@ def run_experiment(flat: dict, out_dir: str = ".") -> dict:
         prefix_size = get_int(flat, "prefix_size", required=True)
         if prefix_size < 1:
             raise ConfigError("prefix_size must be >= 1")
+        epochs = _get_epochs(flat, "learner.epochs")
         learner = _construct(f"learner {algorithm}", make_learner, algorithm, source.schema,
                              seed=derive_seed(seed, "learner"),
                              **_learner_params(flat, algorithm))
         prefix = _take_prefix(source, prefix_size)
-        train_batch(learner, prefix, epochs=get_int(flat, "learner.epochs", default=1))
+        train_batch(learner, prefix, epochs=epochs)
         trace = evaluate_pretrained(source, learner, report_every=report_every, window=window)
         learner_label = algorithm
 
@@ -276,14 +283,20 @@ def run_experiment(flat: dict, out_dir: str = ".") -> dict:
         folds = get_int(flat, "cash.folds", default=3)
         if folds < 2:
             raise ConfigError("cash.folds must be >= 2")
+        epochs = _get_epochs(flat, "cash.epochs")
         space = _build_space(flat)
+        # build each candidate once, unused, so a rejected grid value is a
+        # config error before the prefix is pulled; the search builds its own
+        for candidate in grid_expand(space):
+            _construct(f"cash candidate {candidate.label()}", make_learner,
+                       candidate.algorithm, source.schema, **candidate.as_kwargs())
         prefix = _take_prefix(source, prefix_size)
         result = cash_search(
             prefix, source.schema, space,
             folds=folds,
             budget=get_int(flat, "cash.budget"),
             seed=derive_seed(seed, "cash"),
-            epochs=get_int(flat, "cash.epochs", default=1),
+            epochs=epochs,
         )
         trace = evaluate_pretrained(source, result.model, report_every=report_every,
                                     window=window)

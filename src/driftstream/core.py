@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional, Sequence
 
@@ -99,12 +99,6 @@ class FeatureSchema:
     def categorical_indexes(self) -> list[int]:
         return [i for i, f in enumerate(self.features) if not f.is_numeric]
 
-    def class_index(self, label: str) -> int:
-        try:
-            return self.classes.index(label)
-        except ValueError:
-            raise UnknownClassError(f"unknown class label {label!r}") from None
-
 
 @dataclass
 class Instance:
@@ -117,10 +111,6 @@ class Instance:
     x: list[float]
     y: Optional[int] = None
     seq: int = 0
-
-    @property
-    def labeled(self) -> bool:
-        return self.y is not None
 
 
 def validate_instance(instance: Instance, schema: FeatureSchema) -> Instance:
@@ -173,11 +163,6 @@ class OneHotEncoder:
         return v
 
 
-def one_hot(x: Sequence[float], schema: FeatureSchema) -> list[float]:
-    """Expand categorical features to indicator columns; numerics pass through."""
-    return OneHotEncoder(schema)(x).tolist()
-
-
 class PredictorStatus(IntEnum):
     """Drift-detector level; ordered by severity."""
 
@@ -222,12 +207,6 @@ class ConfusionMatrix:
         if p_e >= 1.0:
             return 0.0
         return (p_o - p_e) / (1.0 - p_e)
-
-    def copy(self) -> "ConfusionMatrix":
-        m = ConfusionMatrix(self.n_classes)
-        m.counts = [row[:] for row in self.counts]
-        m.total = self.total
-        return m
 
 
 class RunningStats:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Iterator, Optional
 
 from .core import ConfusionMatrix, Instance, PredictorStatus
@@ -65,16 +64,16 @@ class _Scorer:
         )
 
 
-def _instances(source: InstanceStream, max_samples: Optional[int]) -> Iterator[Instance]:
-    """The source's instances, at most ``max_samples`` of them, all labeled."""
-    for inst in islice(source, max_samples):
+def _instances(source: InstanceStream) -> Iterator[Instance]:
+    """The source's instances, all labeled."""
+    for inst in source:
         if inst.y is None:
             raise ValueError(f"unlabeled sample at seq {inst.seq}")
         yield inst
 
 
 def _test_then_train(source: InstanceStream, learner: Learner, report_every: int,
-                     max_samples: Optional[int], window: int, learn: bool,
+                     window: int, learn: bool,
                      pretrain: int = 0, detectors: Optional[dict] = None) -> list[TraceRecord]:
     """Score each instance, then (with ``learn``) train on it.
 
@@ -100,7 +99,7 @@ def _test_then_train(source: InstanceStream, learner: Learner, report_every: int
     last_record_at = 0
     records: list[TraceRecord] = []
 
-    for consumed, inst in enumerate(_instances(source, max_samples), start=1):
+    for consumed, inst in enumerate(_instances(source), start=1):
         if not learn or (consumed > pretrain and learner.fitted):
             correct = scorer.score(inst.y, learner.predict(inst.x))
             for name, update, on_correct in monitors:
@@ -123,10 +122,8 @@ def _test_then_train(source: InstanceStream, learner: Learner, report_every: int
 
 
 def run_prequential(source: InstanceStream, learner: Learner,
-                    report_every: int = 100, max_samples: Optional[int] = None,
-                    pretrain: int = 0, window: int = 200,
-                    detectors: Optional[dict] = None,
-                    meta: Optional[dict] = None) -> MetricTrace:
+                    report_every: int = 100, pretrain: int = 0, window: int = 200,
+                    detectors: Optional[dict] = None) -> MetricTrace:
     """Interleaved test-then-train: each sample is scored, then trained on.
 
     Samples arriving before the learner has fitted anything (or within the
@@ -134,21 +131,17 @@ def run_prequential(source: InstanceStream, learner: Learner,
     ``detectors`` (name -> detector) watch the correctness bit; their warning
     and drift statuses are stamped into the trace.
     """
-    records = _test_then_train(source, learner, report_every, max_samples, window,
+    records = _test_then_train(source, learner, report_every, window,
                                learn=True, pretrain=pretrain, detectors=detectors)
-    return MetricTrace(records=records, meta=dict(meta or {}, protocol="prequential"))
+    return MetricTrace(records=records, meta={"protocol": "prequential"})
 
 
 def run_holdout(source: InstanceStream, learner: Learner,
-                holdout_size: int, period: int,
-                max_samples: Optional[int] = None,
-                window: Optional[int] = None,
-                audit: bool = False,
-                meta: Optional[dict] = None) -> MetricTrace:
+                holdout_size: int, period: int, audit: bool = False) -> MetricTrace:
     """Periodic holdout: per cycle, train on period - holdout_size samples,
     then score the next holdout_size samples without training on them.
 
-    The per-record window accuracy covers the last cycle's holdout by default.
+    The per-record window accuracy covers the last cycle's holdout.
     A stream exhausted mid-cycle yields a final partial record and the trace
     is flagged incomplete.
     """
@@ -157,13 +150,13 @@ def run_holdout(source: InstanceStream, learner: Learner,
     if period <= holdout_size:
         raise ValueError("period must exceed holdout_size")
     train_per_cycle = period - holdout_size
-    scorer = _Scorer(source.schema.n_classes, window or holdout_size)
+    scorer = _Scorer(source.schema.n_classes, holdout_size)
     records: list[TraceRecord] = []
     scored_seqs: list[int] = []
     trained_seqs: list[int] = []
     pos = 0  # instances consumed in the current cycle
 
-    for inst in _instances(source, max_samples):
+    for inst in _instances(source):
         if pos < train_per_cycle:
             learner.partial_fit(inst)
             if audit:
@@ -180,7 +173,7 @@ def run_holdout(source: InstanceStream, learner: Learner,
         raise ValueError("stream shorter than one full holdout cycle")
     if pos > train_per_cycle:
         records.append(scorer.record(inst.seq, None))
-    trace_meta = dict(meta or {}, protocol="holdout")
+    trace_meta = {"protocol": "holdout"}
     if pos > 0:
         trace_meta["incomplete_final_cycle"] = True
     if audit:
@@ -190,11 +183,9 @@ def run_holdout(source: InstanceStream, learner: Learner,
 
 
 def evaluate_pretrained(source: InstanceStream, model: Learner,
-                        report_every: int = 100, max_samples: Optional[int] = None,
-                        window: int = 200,
-                        meta: Optional[dict] = None) -> MetricTrace:
+                        report_every: int = 100, window: int = 200) -> MetricTrace:
     """Score a frozen model against a stream; the model state is never touched."""
     if not model.frozen:
         raise ValueError("evaluate_pretrained requires a frozen model")
-    records = _test_then_train(source, model, report_every, max_samples, window, learn=False)
-    return MetricTrace(records=records, meta=dict(meta or {}, protocol="pretrained"))
+    records = _test_then_train(source, model, report_every, window, learn=False)
+    return MetricTrace(records=records, meta={"protocol": "pretrained"})

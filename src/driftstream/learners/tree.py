@@ -104,6 +104,10 @@ class HoeffdingTree(Learner):
                  grace_period: int = 200, delta: float = 1e-7, tau: float = 0.05,
                  max_depth: Optional[int] = None):
         super().__init__(schema, seed, default_class)
+        if grace_period < 1:
+            raise ValueError("grace_period must be >= 1")
+        if not 0.0 < delta <= 1.0:
+            raise ValueError("delta must be in (0, 1]")
         self.grace_period = grace_period
         self.delta = delta
         self.tau = tau
@@ -315,6 +319,8 @@ class HoeffdingAdaptiveTree(HoeffdingTree):
                  grace_period: int = 200, delta: float = 1e-7, tau: float = 0.05,
                  max_depth: Optional[int] = None, adwin_delta: float = 0.002):
         super().__init__(schema, seed, default_class, grace_period, delta, tau, max_depth)
+        if not 0.0 < adwin_delta <= 1.0:
+            raise ValueError("adwin_delta must be in (0, 1]")
         self.adwin_delta = adwin_delta
 
     def _predict(self, x: Sequence[float]) -> int:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .core import FeatureSchema, Instance, RunningStats
 from .learners import Learner
-from .learners.base import argmax_lowest, ensemble_vote
+from .learners.base import ensemble_vote
 
 _N_BINS = 10  # equal-width bins when discretizing numerics for entropy/MI
 
@@ -133,14 +133,6 @@ def extract_meta_features(window: Sequence[Instance], schema: FeatureSchema) -> 
     out = general + statistical + info
     assert len(out) == len(META_FEATURE_NAMES)
     return [v if math.isfinite(v) else 0.0 for v in out]
-
-
-def meta_step(ensemble: "MetaEnsemble", inst: Instance) -> tuple[int, "MetaEnsemble"]:
-    """One prequential step: predict with the active member, then train all
-    members (window bookkeeping and boundary selection happen inside)."""
-    prediction = ensemble.predict(inst.x)
-    ensemble.partial_fit(inst)
-    return prediction, ensemble
 
 
 def window_best_learner(hits: Sequence[int], active: Optional[int] = None) -> int:

@@ -1,4 +1,4 @@
-"""Dataset ingestion, in-process topic replay, and metric-trace files.
+"""Dataset ingestion and metric-trace files.
 
 CSV dialect: comma separator, first row header, "." decimal, UTF-8. The label
 column defaults to the last column. Categorical feature values are written as
@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -29,14 +28,6 @@ TRACE_VERSION = 1
 
 
 class DatasetError(ValueError):
-    pass
-
-
-class TopicClosedError(RuntimeError):
-    pass
-
-
-class TopicOverflowError(RuntimeError):
     pass
 
 
@@ -259,103 +250,6 @@ def write_dataset(instances: Iterable[Instance], schema: FeatureSchema, path: st
                 row.append(repr(v) if feat.is_numeric else feat.value_name(int(v)))
             row.append(schema.classes[inst.y])
             writer.writerow(row)
-
-
-# ---------------------------------------------------------------------------
-# In-process topic replay
-
-class TopicStream(InstanceStream):
-    """One subscriber's cursor over a topic; blocks on an open, drained topic."""
-
-    def __init__(self, topic: "Topic"):
-        super().__init__()
-        self.schema = topic.schema
-        self._topic = topic
-        self._cursor = 0
-
-    def __next__(self) -> Instance:
-        inst = self._topic._get(self._cursor)
-        if inst is None:
-            raise StopIteration
-        self._cursor += 1
-        return inst
-
-
-class Topic:
-    """Append-only in-process message log with independent subscriber cursors.
-
-    Instances are delivered in publication order. An optional capacity makes
-    overflow loud instead of silently dropping. Closing ends every subscriber
-    once it has drained the buffer.
-    """
-
-    def __init__(self, name: str, schema: Optional[FeatureSchema] = None,
-                 capacity: Optional[int] = None):
-        self.name = name
-        self.schema = schema
-        self.capacity = capacity
-        self._buffer: list[Instance] = []
-        self._closed = False
-        self._cond = threading.Condition()
-
-    def publish(self, inst: Instance) -> "Topic":
-        with self._cond:
-            if self._closed:
-                raise TopicClosedError(f"topic {self.name!r} is closed")
-            if self.capacity is not None and len(self._buffer) >= self.capacity:
-                raise TopicOverflowError(f"topic {self.name!r} is full ({self.capacity})")
-            self._buffer.append(inst)
-            self._cond.notify_all()
-        return self
-
-    def publish_all(self, instances: Iterable[Instance]) -> "Topic":
-        for inst in instances:
-            self.publish(inst)
-        return self
-
-    def close(self) -> None:
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-
-    def subscribe(self) -> TopicStream:
-        return TopicStream(self)
-
-    def __len__(self) -> int:
-        with self._cond:
-            return len(self._buffer)
-
-    def _get(self, cursor: int) -> Optional[Instance]:
-        with self._cond:
-            while cursor >= len(self._buffer):
-                if self._closed:
-                    return None
-                self._cond.wait()
-            return self._buffer[cursor]
-
-
-class TopicHub:
-    """Registry of named topics (the in-process stand-in for a broker)."""
-
-    def __init__(self):
-        self._topics: dict[str, Topic] = {}
-
-    def create(self, name: str, schema: Optional[FeatureSchema] = None,
-               capacity: Optional[int] = None) -> Topic:
-        if name in self._topics:
-            raise ValueError(f"topic {name!r} already exists")
-        topic = Topic(name, schema, capacity)
-        self._topics[name] = topic
-        return topic
-
-    def get(self, name: str) -> Topic:
-        try:
-            return self._topics[name]
-        except KeyError:
-            raise ValueError(f"no such topic {name!r}") from None
-
-    def subscribe(self, name: str) -> TopicStream:
-        return self.get(name).subscribe()
 
 
 # ---------------------------------------------------------------------------

@@ -174,10 +174,29 @@ output.path = meta.csv
            [(r.seq, r.cum_accuracy, r.window_accuracy, r.kappa) for r in meta.records]
 
 
-def test_topic_source_replays_csv(tmp_path):
+def test_topic_source_is_a_csv_alias_that_honours_n(tmp_path):
     rows = ["x,cls"] + [f"{i}.5,{i % 2}" for i in range(400)]
     data = tmp_path / "d.csv"
     data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    cfg = write_cfg(tmp_path, "csv.cfg", f"""
+experiment = online
+source.kind = csv
+source.path = {data}
+source.n = 100
+learner.algorithm = naive_bayes
+output.path = csv.json
+output.format = json
+""")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
+    plain = read_trace(str(tmp_path / "csv.json"))
+    assert plain.final.seq == 99
+    assert plain.meta["dataset"] == "csv:d"
+
+
+def test_topic_source_kind_is_a_config_error(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("x,cls\n" + "".join(f"{i}.5,{i % 2}\n" for i in range(40)),
+                    encoding="utf-8")
     cfg = write_cfg(tmp_path, "t.cfg", f"""
 experiment = online
 source.kind = topic
@@ -185,33 +204,10 @@ source.path = {data}
 learner.algorithm = naive_bayes
 output.path = t.csv
 """)
-    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
-    trace = read_trace(str(tmp_path / "t.csv"))
-    assert trace.records[-1].seq == 399
-
-
-def test_topic_source_is_a_csv_alias_that_honours_n(tmp_path):
-    rows = ["x,cls"] + [f"{i}.5,{i % 2}" for i in range(400)]
-    data = tmp_path / "d.csv"
-    data.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    for kind in ("topic", "csv"):
-        cfg = write_cfg(tmp_path, f"{kind}.cfg", f"""
-experiment = online
-source.kind = {kind}
-source.path = {data}
-source.n = 100
-learner.algorithm = naive_bayes
-output.path = {kind}.json
-output.format = json
-""")
-        assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
-    topic = read_trace(str(tmp_path / "topic.json"))
-    plain = read_trace(str(tmp_path / "csv.json"))
-    assert topic.final.seq == 99
-    assert topic.meta["dataset"] == "topic:d"
-    assert plain.meta["dataset"] == "csv:d"
-    assert [(r.seq, r.cum_accuracy, r.window_accuracy, r.kappa) for r in topic.records] == \
-           [(r.seq, r.cum_accuracy, r.window_accuracy, r.kappa) for r in plain.records]
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert ("config error: source.kind: expected one of ('generator', 'csv'), got 'topic'"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "t.csv").exists()
 
 
 # -- determinism and round-trip -------------------------------------------------------
@@ -459,7 +455,7 @@ def test_source_key_without_flat_value_is_ignored(tmp_path):
     assert read_trace(str(tmp_path / "w.csv")).final.seq == 1499
 
 
-@pytest.mark.parametrize("kind", ["csv", "topic"])
+@pytest.mark.parametrize("kind", ["csv"])
 @pytest.mark.parametrize("n", ["0", "-3"])
 def test_csv_source_n_below_one_exits_one_before_reading(tmp_path, capsys, monkeypatch,
                                                          kind, n):
@@ -492,8 +488,25 @@ output.path = n.csv
     ("meta_online", "learner.window = 0", "meta_online: window must be >= 1"),
     ("online", "learner.algorithm = naive_bayes\neval.pretrain = -5",
      "eval.pretrain must be >= 0"),
+    ("online", "learner.algorithm = hoeffding_tree\nlearner.params.delta = 0",
+     "learner hoeffding_tree: delta must be in (0, 1]"),
+    ("online", "learner.algorithm = hoeffding_tree\nlearner.params.grace_period = 0",
+     "learner hoeffding_tree: grace_period must be >= 1"),
+    ("online", "learner.algorithm = hoeffding_adaptive_tree\nlearner.params.adwin_delta = 0",
+     "learner hoeffding_adaptive_tree: adwin_delta must be in (0, 1]"),
+    ("batch_pretrained", "learner.algorithm = linear_svm_batch\nlearner.epochs = 0\n"
+     "prefix_size = 10", "learner.epochs must be >= 1"),
+    ("batch_pretrained", "learner.algorithm = cart_batch\nlearner.epochs = -2\n"
+     "prefix_size = 10", "learner.epochs must be >= 1"),
+    ("cash_pretrained", "prefix_size = 30\ncash.space.knn_batch.k = 0,1",
+     "cash candidate knn_batch(k=0): k must be >= 1"),
+    ("cash_pretrained", "prefix_size = 30\ncash.space.hoeffding_tree =\ncash.epochs = 0",
+     "cash.epochs must be >= 1"),
 ], ids=["knn_window.k", "oza_bagging.n_members", "cart_batch.max_depth",
-        "meta_online.window", "eval.pretrain"])
+        "meta_online.window", "eval.pretrain", "hoeffding_tree.delta",
+        "hoeffding_tree.grace_period", "hoeffding_adaptive_tree.adwin_delta",
+        "linear_svm_batch.epochs", "cart_batch.epochs", "cash.space.knn_batch.k",
+        "cash.epochs"])
 def test_value_rejected_before_first_instance_exits_one(tmp_path, capsys, experiment,
                                                         lines, message):
     data = tmp_path / "d.csv"

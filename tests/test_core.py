@@ -12,11 +12,11 @@ from driftstream.core import (
     Feature,
     FeatureSchema,
     Instance,
+    OneHotEncoder,
     PredictorStatus,
     RunningStats,
     UnknownClassError,
     derive_seed,
-    one_hot,
     validate_instance,
 )
 
@@ -180,7 +180,7 @@ def test_confusion_update_order_independent():
 
 
 def test_one_hot_expansion():
-    assert one_hot([1.5, 2.0, -3.0], MIXED) == [1.5, 0.0, 0.0, 1.0, -3.0]
+    assert OneHotEncoder(MIXED)([1.5, 2.0, -3.0]).tolist() == [1.5, 0.0, 0.0, 1.0, -3.0]
 
 
 def test_predictor_status_severity_order():

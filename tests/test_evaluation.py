@@ -23,10 +23,12 @@ class LabelFeedStream(ListStream):
         return inst
 
 
-def oracle_run(labels, **kwargs):
+def oracle_run(labels, limit=None, **kwargs):
     oracle = OracleLearner(ONE_NUMERIC)
     stream = LabelFeedStream([([float(i)], y) for i, y in enumerate(labels)],
                              ONE_NUMERIC, oracle)
+    if limit is not None:
+        stream = LimitedStream(stream, limit)
     return run_prequential(stream, oracle, **kwargs)
 
 
@@ -59,7 +61,7 @@ def test_majority_class_alternating_labels_hand_simulation():
 
 
 def test_record_count_matches_report_interval():
-    trace = oracle_run([0, 1] * 50, report_every=10, max_samples=100)
+    trace = oracle_run([0, 1] * 50, limit=100, report_every=10)
     assert len(trace.records) == 10
     assert [r.seq for r in trace.records] == list(range(9, 100, 10))
 
@@ -147,16 +149,16 @@ def test_trace_determinism():
 
 
 @pytest.mark.parametrize("evaluate", [
-    lambda stream: run_prequential(stream, ProbeLearner(ONE_NUMERIC), report_every=30,
-                                   max_samples=100),
+    lambda stream: run_prequential(stream, ProbeLearner(ONE_NUMERIC), report_every=30),
     lambda stream: evaluate_pretrained(stream, ProbeLearner(ONE_NUMERIC).freeze(),
-                                       report_every=30, max_samples=100),
+                                       report_every=30),
     lambda stream: run_holdout(stream, ProbeLearner(ONE_NUMERIC), holdout_size=20,
-                               period=50, max_samples=100),
+                               period=50),
 ], ids=["prequential", "pretrained", "holdout"])
 def test_max_samples_reads_no_instance_past_the_cap(evaluate):
+    # the cap is a LimitedStream around the source
     stream = labeled_stream([0, 1] * 100)
-    assert evaluate(stream).final.seq == 99
+    assert evaluate(LimitedStream(stream, 100)).final.seq == 99
     assert next(stream).seq == 100
 
 
@@ -164,21 +166,23 @@ def test_max_samples_reads_no_instance_past_the_cap(evaluate):
 
 def test_holdout_cycle_arithmetic():
     labels = [i % 2 for i in range(1000)]
-    # max_samples -> records, trained, scored, last record seq; 550 stops
+    # stream cap -> records, trained, scored, last record seq; 550 stops
     # inside a training stretch, 590 inside a holdout (a partial record)
-    for max_samples, n_records, n_trained, n_scored, last_seq in (
+    for cap, n_records, n_trained, n_scored, last_seq in (
         (None, 10, 800, 200, 999),
         (550, 5, 450, 100, 499),
         (590, 6, 480, 110, 589),
     ):
         probe = ProbeLearner(ONE_NUMERIC, constant=0)
-        trace = run_holdout(labeled_stream(labels), probe, holdout_size=20, period=100,
-                            max_samples=max_samples, audit=True)
+        stream = labeled_stream(labels)
+        if cap is not None:
+            stream = LimitedStream(stream, cap)
+        trace = run_holdout(stream, probe, holdout_size=20, period=100, audit=True)
         assert len(trace.records) == n_records
         assert len(trace.meta["trained_seqs"]) == n_trained
         assert len(trace.meta["scored_seqs"]) == n_scored
         assert trace.final.seq == last_seq
-        assert trace.meta.get("incomplete_final_cycle", False) == (max_samples is not None)
+        assert trace.meta.get("incomplete_final_cycle", False) == (cap is not None)
 
 
 def test_holdout_never_trains_on_scored_samples():
@@ -270,8 +274,8 @@ def test_frozen_majority_decays_to_prior_mixture():
     trace = evaluate_pretrained(labeled_stream(labels), model, report_every=100)
     assert trace.records[9].cum_accuracy == 1.0
     assert trace.final.cum_accuracy == pytest.approx(0.5, abs=1e-12)
-    capped = evaluate_pretrained(labeled_stream(labels), model, report_every=100,
-                                 max_samples=1500)
+    capped = evaluate_pretrained(LimitedStream(labeled_stream(labels), 1500), model,
+                                 report_every=100)
     assert [r.seq for r in capped.records] == list(range(99, 1500, 100))
     assert capped.final.cum_accuracy == pytest.approx(1000 / 1500, abs=1e-12)
 

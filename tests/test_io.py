@@ -1,19 +1,14 @@
-import threading
-import time
 import tracemalloc
 
 import pytest
 
-from driftstream.core import CATEGORICAL, Feature, FeatureSchema, Instance
+from driftstream.core import CATEGORICAL, Feature, FeatureSchema
 from driftstream.evaluation import MetricTrace, TraceRecord, run_prequential
 from driftstream.generators import AgrawalGenerator, LimitedStream, SeaGenerator, StaggerGenerator
 from driftstream.meta import MetaEnsemble
 from driftstream.stream_io import (
     CsvReplayStream,
     DatasetError,
-    Topic,
-    TopicHub,
-    TopicOverflowError,
     infer_schema,
     read_dataset,
     read_trace,
@@ -202,76 +197,6 @@ def test_reading_and_replaying_holds_no_rows(tmp_path):
     small, large = peak_bytes(4_000), peak_bytes(40_000)
     # holding the 36 000 extra rows would take megabytes
     assert large - small < 64 * 1024, (small, large)
-
-
-# -- topics ------------------------------------------------------------------------
-
-def _inst(i):
-    return Instance([float(i)], y=i % 2, seq=i)
-
-
-def test_topic_replays_in_publication_order():
-    topic = Topic("t")
-    topic.publish_all(_inst(i) for i in range(3))
-    topic.close()
-    assert [i.x[0] for i in topic.subscribe()] == [0.0, 1.0, 2.0]
-
-
-def test_two_subscribers_get_identical_sequences():
-    topic = Topic("t")
-    topic.publish_all(_inst(i) for i in range(10))
-    topic.close()
-    a = [(i.x[0], i.y, i.seq) for i in topic.subscribe()]
-    b = [(i.x[0], i.y, i.seq) for i in topic.subscribe()]
-    assert a == b
-    assert len(a) == 10
-
-
-def test_subscriber_blocks_until_publication():
-    topic = Topic("t")
-    sub = topic.subscribe()
-    got = []
-
-    def consume():
-        got.append(next(sub))
-
-    worker = threading.Thread(target=consume)
-    worker.start()
-    time.sleep(0.05)
-    assert not got  # still blocked
-    topic.publish(_inst(0))
-    worker.join(timeout=2)
-    assert not worker.is_alive()
-    assert got[0].x == [0.0]
-    topic.close()
-
-
-def test_closed_topic_drains_then_stops():
-    topic = Topic("t")
-    topic.publish(_inst(0))
-    topic.close()
-    sub = topic.subscribe()
-    assert next(sub).x == [0.0]
-    with pytest.raises(StopIteration):
-        next(sub)
-    with pytest.raises(RuntimeError):
-        topic.publish(_inst(1))
-
-
-def test_topic_capacity_overflows_loudly():
-    topic = Topic("t", capacity=2)
-    topic.publish(_inst(0)).publish(_inst(1))
-    with pytest.raises(TopicOverflowError):
-        topic.publish(_inst(2))
-
-
-def test_hub_subscribe_missing_topic():
-    hub = TopicHub()
-    hub.create("exists")
-    with pytest.raises(ValueError):
-        hub.subscribe("missing")
-    with pytest.raises(ValueError):
-        hub.create("exists")
 
 
 # -- traces -------------------------------------------------------------------------

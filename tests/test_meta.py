@@ -13,7 +13,6 @@ from driftstream.meta import (
     OnlineSelector,
     PerformanceWeights,
     extract_meta_features,
-    meta_step,
     window_best_learner,
 )
 from conftest import ONE_NUMERIC, RuleLearner, ThresholdConceptStream
@@ -317,7 +316,8 @@ def test_meta_step_is_test_then_train():
     ens = MetaEnsemble(ONE_NUMERIC, _experts(), mode="last_best", window=300)
     cm = ConfusionMatrix(2)
     for inst in stream:
-        pred, ens = meta_step(ens, inst)
+        pred = ens.predict(inst.x)
+        ens.partial_fit(inst)
         cm.update(inst.y, pred)
     assert cm.total == 700
     assert ens.active_index == 1  # expert 1 owns the only concept

@@ -46,6 +46,20 @@ def test_hoeffding_bound_domain_errors():
         hoeffding_bound(1.0, 1.5, 10)
 
 
+@pytest.mark.parametrize("cls, params, message", [
+    (HoeffdingTree, {"grace_period": 0}, "grace_period must be >= 1"),
+    (HoeffdingTree, {"delta": 0.0}, "delta must be in"),
+    (HoeffdingTree, {"delta": 1.5}, "delta must be in"),
+    (HoeffdingAdaptiveTree, {"delta": 0.0}, "delta must be in"),
+    (HoeffdingAdaptiveTree, {"adwin_delta": 0.0}, "adwin_delta must be in"),
+    (HoeffdingAdaptiveTree, {"adwin_delta": 2.0}, "adwin_delta must be in"),
+], ids=["ht.grace_period", "ht.delta_zero", "ht.delta_above_one", "hat.delta_zero",
+        "hat.adwin_delta_zero", "hat.adwin_delta_above_one"])
+def test_tree_rejects_out_of_range_parameters_at_construction(cls, params, message):
+    with pytest.raises(ValueError, match=message):
+        cls(ONE_NUMERIC, **params)
+
+
 # -- split decisions ----------------------------------------------------------
 
 def test_split_fires_on_perfectly_separating_feature():
