@@ -71,15 +71,31 @@ def _source_params(cls) -> dict:
     return {k: v for k, v in _constructor_params(cls).items() if v is not None}
 
 
-def _check_params(prefix: str, algorithm: str, names) -> None:
-    """Reject an unknown algorithm or a parameter its constructor lacks."""
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+
+
+def _check_type(key: str, value, default) -> None:
+    """Reject a value whose type is not its constructor default's: an int may
+    stand for a float, a bool for no number, and a None default takes any."""
+    if default is None or (type(default) is float and type(value) is int):
+        return
+    if type(value) is not type(default):
+        raise ConfigError(f"{key}: expected {_TYPE_NAMES[type(default)]}, got {value!r}")
+
+
+def _check_params(prefix: str, algorithm: str, params: dict) -> None:
+    """Reject an unknown algorithm, a parameter its constructor lacks or a
+    value of the wrong type. ``params`` maps each name to its values: one,
+    or a search grid's."""
     if algorithm not in LEARNER_REGISTRY:
         raise ConfigError(f"unknown algorithm {algorithm!r}")
     known = _constructor_params(LEARNER_REGISTRY[algorithm])
-    for name in names:
+    for name, values in params.items():
         if name not in known:
             raise ConfigError(f"{prefix}.{name}: {algorithm} has no parameter {name!r} "
                               f"(it takes {', '.join(known) or 'none'})")
+        for value in values:
+            _check_type(f"{prefix}.{name}", value, known[name])
 
 
 # ---------------------------------------------------------------------------
@@ -100,10 +116,11 @@ def _build_generator(flat: dict, seed: int):
     family = get_str(flat, "source.family", required=True,
                      choices=tuple(GENERATOR_FAMILIES))
     params = {}
-    for key in _source_params(GENERATOR_FAMILIES[family]):
+    for key, default in _source_params(GENERATOR_FAMILIES[family]).items():
         raw = flat.get(f"source.{key}")
         if raw is not None:
             params[key] = auto_value(raw)
+            _check_type(f"source.{key}", params[key], default)
     base = make_generator(family, seed=derive_seed(seed, "generator"), **params)
     if section(flat, "source.drift"):
         base = _add_drift(base, family, params,
@@ -133,7 +150,7 @@ def build_source(flat: dict, seed: int):
 
 def _learner_params(flat: dict, algorithm: str) -> dict:
     params = {k: auto_value(v) for k, v in section(flat, "learner.params").items()}
-    _check_params("learner.params", algorithm, params)
+    _check_params("learner.params", algorithm, {k: [v] for k, v in params.items()})
     return params
 
 
@@ -261,11 +278,13 @@ def run_experiment(flat: dict, out_dir: str = ".") -> dict:
         if protocol == "holdout":
             if get_list(flat, "eval.detectors"):
                 raise ConfigError("eval.detectors: the holdout protocol runs no detectors")
-            trace = run_holdout(
-                source, learner,
-                holdout_size=get_int(flat, "eval.holdout_size", required=True),
-                period=get_int(flat, "eval.period", required=True),
-            )
+            holdout_size = get_int(flat, "eval.holdout_size", required=True)
+            period = get_int(flat, "eval.period", required=True)
+            if holdout_size < 1:
+                raise ConfigError("eval.holdout_size must be >= 1")
+            if period <= holdout_size:
+                raise ConfigError("eval.period must exceed eval.holdout_size")
+            trace = run_holdout(source, learner, holdout_size=holdout_size, period=period)
         else:
             pretrain = get_int(flat, "eval.pretrain", default=0)
             if pretrain < 0:
@@ -278,11 +297,14 @@ def run_experiment(flat: dict, out_dir: str = ".") -> dict:
 
     elif experiment == "cash_pretrained":
         prefix_size = get_int(flat, "prefix_size", required=True)
-        if prefix_size < 1:
-            raise ConfigError("prefix_size must be >= 1")
         folds = get_int(flat, "cash.folds", default=3)
         if folds < 2:
             raise ConfigError("cash.folds must be >= 2")
+        if prefix_size < 10 * folds:
+            raise ConfigError(f"prefix_size must be >= 10 * cash.folds = {10 * folds}")
+        budget = get_int(flat, "cash.budget")
+        if budget is not None and budget < 1:
+            raise ConfigError("cash.budget must be >= 1")
         epochs = _get_epochs(flat, "cash.epochs")
         space = _build_space(flat)
         # build each candidate once, unused, so a rejected grid value is a
@@ -294,7 +316,7 @@ def run_experiment(flat: dict, out_dir: str = ".") -> dict:
         result = cash_search(
             prefix, source.schema, space,
             folds=folds,
-            budget=get_int(flat, "cash.budget"),
+            budget=budget,
             seed=derive_seed(seed, "cash"),
             epochs=epochs,
         )
@@ -307,7 +329,7 @@ def run_experiment(flat: dict, out_dir: str = ".") -> dict:
         mode = get_str(flat, "learner.mode", default="meta",
                        choices=("meta", "last_best", "weighted_vote"))
         for name in roster:
-            _check_params("learner.roster", name, ())
+            _check_params("learner.roster", name, {})
             if name in BATCH_ALGORITHMS:
                 raise ConfigError(f"meta_online roster must be incremental, got {name!r}")
         members = [
@@ -439,6 +461,7 @@ def cmd_generate(args) -> int:
             raise ConfigError(f"--param {key}: {args.family} has no parameter {key!r} "
                               f"(it takes {', '.join(known) or 'none'})")
         params[key] = auto_value(value)
+        _check_type(f"--param {key}", params[key], known[key])
     if args.family in _CONCEPT_FAMILIES:
         params.setdefault("concept", args.concept)
     elif args.concept != 0:

@@ -160,6 +160,11 @@ def adwin_epsilon_cut(n0: int, n1: int, delta: float, n: int) -> float:
     return math.sqrt(math.log(4.0 / delta_prime) / (2.0 * m))
 
 
+# Rounding allowance of the quiet-period rules, as a share of the window
+# (see Adwin._has_cut).
+_MARGIN = 1e-9
+
+
 class Adwin:
     """Adaptive windowing over a [0, 1] stream with an exponential histogram.
 
@@ -168,14 +173,22 @@ class Adwin:
     the bucket boundaries are scanned oldest first as cut points; if the two
     sides' means differ by at least the epsilon-cut bound the oldest bucket is
     dropped and the scan repeats, so the window shrinks to the suffix
-    consistent with the current mean. A scan stops early once the newer side
-    holds fewer than ``min_side`` items, since no later boundary can qualify.
+    consistent with the current mean. A scan that finds no cut also works out
+    how many of the next inserts cannot bring any boundary to the bound, and
+    those inserts skip the scan (``_has_cut``): every decision is the one a
+    scan after every insert would make.
     """
 
     input_kind = "correctness"
 
     def __init__(self, delta: float = 0.002, max_buckets: int = 5,
                  min_window: int = 10, min_side: int = 5):
+        if not 0.0 < delta <= 1.0:
+            raise ValueError("delta must be in (0, 1]")
+        for name, value in (("max_buckets", max_buckets), ("min_window", min_window),
+                            ("min_side", min_side)):
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
         self.delta = delta
         self.max_buckets = max_buckets
         self.min_window = min_window
@@ -188,6 +201,7 @@ class Adwin:
         self.width = 0
         self.total = 0.0
         self.n_detections = 0
+        self._quiet = 0  # inserts left that skip the scan
 
     @property
     def mean(self) -> float:
@@ -197,6 +211,9 @@ class Adwin:
         if not 0.0 <= x <= 1.0:
             raise ValueError(f"adwin input must be in [0, 1], got {x!r}")
         self._insert(x)
+        if self._quiet:
+            self._quiet -= 1
+            return STABLE
         if self.width < self.min_window:
             return STABLE
         return DRIFT if self._shrink() else STABLE
@@ -224,9 +241,48 @@ class Adwin:
 
     def _has_cut(self) -> bool:
         """Whether some bucket boundary splits the window into two sides, each
-        of at least ``min_side`` items, whose means differ by the cut bound."""
+        of at least ``min_side`` items, whose means differ by the cut bound.
+
+        When none does, ``_quiet`` becomes a count k of inserts after which
+        no boundary can have reached the bound. Take a boundary with n0 older
+        items (prefix sum s0) and n1 newer ones, and let D = s0 - n0*s/w,
+        which is diff*n0*n1/w. The test below is then D^2 >= T^2 with
+        T^2 = log_term*n0*n1/(2w). Inserts and merges keep each surviving
+        boundary's n0 and s0 (merges only remove boundaries); one insert of x
+        in [0, 1] moves D by n0*(s - w*x)/(w*(w + 1)), less than n0/w; and T
+        never falls, since n1/w and log_term only grow. So:
+
+        - slack rule: a boundary with |D| + k*n0/w < T stays uncut for k
+          inserts;
+        - structural rule: |D| <= n0*n1/w <= n1, so no boundary with n1 <= c
+          can cut, where c is the largest integer below
+          log_term*w/(2w + log_term), and c only grows. That covers the
+          boundaries the next k <= c inserts make, and those with
+          n1 + k <= c now.
+
+        k starts at c and falls until every other boundary with
+        n0 >= min_side passes the slack rule, including those whose newer
+        side is still below ``min_side``.
+
+        The proof holds for exact sums; the scan reads float ones. Every sum
+        here (``total``, a bucket sum, s0) is at most w' <= w + log_term, the
+        largest window the quiet period reaches, and each addition that
+        builds it rounds by at most 2^-53 * w'. So both rules keep a margin
+        eta = 1e-9 * w' in D (in c, through |D| <= n1*(1 + eta) for
+        n1 >= 1). It exceeds the rounding of 9 * 10^6 such additions, where a
+        scan's prefix sum makes one per bucket and the k inserts one each in
+        ``total``; the drift of ``total`` over a whole run, a random walk of
+        such roundings, would take some 10^14 updates to reach it. The margin
+        also covers the rounding in evaluating the rules. With 0/1 inputs
+        every sum is an exact integer.
+        """
         w, s, min_side = self.width, self.total, self.min_side
         log_term = math.log(4.0 * w / self.delta)
+        log_w = log_term * w
+        eta = _MARGIN * (w + log_term)
+        eta_w = eta * w
+        c = math.ceil(log_w / (2.0 * w * (1.0 + eta) ** 2 + log_term)) - 1
+        quiet = c
         n0, s0 = 0, 0.0
         size = 1 << len(self._levels)
         for buckets in reversed(self._levels):
@@ -235,17 +291,31 @@ class Adwin:
                 n0 += size
                 s0 += bucket_sum
                 n1 = w - n0
-                if n1 < min_side:
-                    return False  # n1 only falls from here on
+                if n1 < min_side and (not quiet or n1 + quiet <= c):
+                    # n1 only falls from here on: no later boundary is
+                    # tested now, and each is inside the structural rule
+                    self._quiet = quiet
+                    return False
                 if n0 < min_side:
                     continue
                 diff = s0 / n0 - (s - s0) / n1
                 # compare squared means against eps_cut^2 = log_term/(2m)
-                if diff * diff >= log_term * w / (2.0 * n0 * n1):
+                bound = log_w / (2.0 * n0 * n1)
+                if quiet and n1 + quiet > c:
+                    # the slack rule divided by n0*n1/w, which also rules
+                    # out a cut now: |diff| + (k + eta*w/n0)/n1 < eps_cut
+                    gap = abs(diff) + (quiet + eta_w / n0) / n1
+                    if gap * gap < bound:
+                        continue
+                    room = (math.sqrt(bound) - abs(diff)) * n1 - eta_w / n0
+                    quiet = max(0, c - n1, math.ceil(room) - 1)
+                if n1 >= min_side and diff * diff >= bound:
                     return True
-        return False
+        return False  # not reached: the newest boundary (n1 = 0) returns above
 
     def _shrink(self) -> bool:
+        """Drop oldest buckets while a cut exists. A drop leaves ``_quiet`` at
+        0; the scan of the shrunk window that finds no cut sets it again."""
         dropped = False
         while self.width >= self.min_window and self._has_cut():
             self._drop_oldest()

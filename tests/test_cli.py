@@ -502,11 +502,20 @@ output.path = n.csv
      "cash candidate knn_batch(k=0): k must be >= 1"),
     ("cash_pretrained", "prefix_size = 30\ncash.space.hoeffding_tree =\ncash.epochs = 0",
      "cash.epochs must be >= 1"),
+    ("cash_pretrained", "prefix_size = 30\ncash.space.naive_bayes =\ncash.budget = 0",
+     "cash.budget must be >= 1"),
+    ("cash_pretrained", "prefix_size = 20\ncash.space.naive_bayes =",
+     "prefix_size must be >= 10 * cash.folds = 30"),
+    ("online", "learner.algorithm = naive_bayes\neval.protocol = holdout\n"
+     "eval.holdout_size = 0\neval.period = 10", "eval.holdout_size must be >= 1"),
+    ("online", "learner.algorithm = naive_bayes\neval.protocol = holdout\n"
+     "eval.holdout_size = 10\neval.period = 10", "eval.period must exceed eval.holdout_size"),
 ], ids=["knn_window.k", "oza_bagging.n_members", "cart_batch.max_depth",
         "meta_online.window", "eval.pretrain", "hoeffding_tree.delta",
         "hoeffding_tree.grace_period", "hoeffding_adaptive_tree.adwin_delta",
         "linear_svm_batch.epochs", "cart_batch.epochs", "cash.space.knn_batch.k",
-        "cash.epochs"])
+        "cash.epochs", "cash.budget", "cash.prefix_size", "eval.holdout_size",
+        "eval.period"])
 def test_value_rejected_before_first_instance_exits_one(tmp_path, capsys, experiment,
                                                         lines, message):
     data = tmp_path / "d.csv"
@@ -522,3 +531,56 @@ output.path = b.csv
     assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert f"config error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "b.csv").exists()
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("source.noise = abc", "source.noise: expected a number, got 'abc'"),
+    ("learner.params.grace_period = 2.5",
+     "learner.params.grace_period: expected an integer, got 2.5"),
+    ("learner.params.grace_period = true",
+     "learner.params.grace_period: expected an integer, got True"),
+    ("learner.params.delta = false", "learner.params.delta: expected a number, got False"),
+], ids=["source.noise", "grace_period.float", "grace_period.bool", "delta.bool"])
+def test_value_of_wrong_type_exits_one(tmp_path, capsys, lines, message):
+    cfg = write_cfg(tmp_path, "t.cfg", ONLINE_CFG.format(out="t.csv", fmt="csv").replace(
+        "learner.algorithm = naive_bayes", f"learner.algorithm = hoeffding_tree\n{lines}"))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_grid_value_of_wrong_type_exits_one(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "g.cfg", """
+experiment = cash_pretrained
+source.kind = generator
+source.family = sea
+source.n = 1000
+prefix_size = 200
+cash.space.knn_batch.k = 1,2.5
+output.path = g.csv
+""")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert ("config error: cash.space.knn_batch.k: expected an integer, got 2.5"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "g.csv").exists()
+
+
+def test_int_for_a_float_parameter_runs_as_the_float(tmp_path):
+    traces = []
+    for name, noise, delta in (("i", "0", "1"), ("f", "0.0", "1.0")):
+        cfg = write_cfg(tmp_path, f"{name}.cfg", ONLINE_CFG.format(
+            out=f"{name}.csv", fmt="csv").replace(
+            "learner.algorithm = naive_bayes",
+            f"learner.algorithm = hoeffding_tree\nlearner.params.delta = {delta}\n"
+            f"source.noise = {noise}"))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
+        traces.append((tmp_path / f"{name}.csv").read_bytes())
+    assert traces[0] == traces[1]
+
+
+def test_generate_param_of_wrong_type_exits_one(tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    assert main(["generate", "--family", "sea", "--param", "noise=abc", "--n", "10",
+                 "--out", str(out)]) == 1
+    assert "config error: --param noise: expected a number, got 'abc'" in capsys.readouterr().err
+    assert not out.exists()

@@ -238,6 +238,16 @@ def test_adwin_low_false_alarm_rate_stationary():
     assert total == 0
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"delta": 0}, {"delta": -1}, {"delta": 1.5}, {"max_buckets": 0},
+    {"min_window": 0}, {"min_side": 0}, {"min_side": -2},
+], ids=["delta=0", "delta=-1", "delta=1.5", "max_buckets=0", "min_window=0",
+        "min_side=0", "min_side=-2"])
+def test_adwin_rejects_bad_parameters(kwargs):
+    with pytest.raises(ValueError, match="must be"):
+        Adwin(**kwargs)
+
+
 def test_make_detector_registry():
     assert isinstance(make_detector("page_hinkley"), PageHinkley)
     assert isinstance(make_detector("adwin", delta=0.01), Adwin)
@@ -300,3 +310,105 @@ def test_adwin_golden_sequences(name):
     assert seen == drifts
     assert (a.width, a.total, a.n_detections) == final
     assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == digest
+
+
+# -- ADWIN quiet period: the scan it skips would find no cut -------------------------
+
+def reference_has_cut(self) -> bool:
+    """The cut scan as it ran after every insert, before the quiet period."""
+    w, s, min_side = self.width, self.total, self.min_side
+    log_term = math.log(4.0 * w / self.delta)
+    n0, s0 = 0, 0.0
+    size = 1 << len(self._levels)
+    for buckets in reversed(self._levels):
+        size >>= 1
+        for bucket_sum in buckets:
+            n0 += size
+            s0 += bucket_sum
+            n1 = w - n0
+            if n1 < min_side:
+                return False  # n1 only falls from here on
+            if n0 < min_side:
+                continue
+            diff = s0 / n0 - (s - s0) / n1
+            # compare squared means against eps_cut^2 = log_term/(2m)
+            if diff * diff >= log_term * w / (2.0 * n0 * n1):
+                return True
+    return False
+
+
+class ReferenceAdwin(Adwin):
+    """Adwin that scans after every insert: this scan never sets ``_quiet``."""
+
+    _has_cut = reference_has_cut
+
+
+def _random_kwargs(rng):
+    return {"delta": rng.choice([1.0, 0.3, 0.05, 0.002, 1e-6, 1e-12]),
+            "max_buckets": rng.choice([1, 2, 3, 5, 8]),
+            "min_window": rng.choice([1, 2, 10, 40]),
+            "min_side": rng.choice([1, 2, 5, 20])}
+
+
+def _assert_same_steps(kwargs, values, reset_at=None):
+    fast, reference = Adwin(**kwargs), ReferenceAdwin(**kwargs)
+    for i, x in enumerate(values):
+        if i == reset_at:
+            fast.reset()
+            reference.reset()
+        got = (fast.update(x), fast.width, repr(fast.total), fast.n_detections)
+        want = (reference.update(x), reference.width, repr(reference.total),
+                reference.n_detections)
+        assert got == want, (kwargs, i)
+
+
+def _stream(kind, rng, n):
+    if kind == "bernoulli":
+        segments = [(rng.randrange(100, 1500), rng.random()) for _ in range(4)]
+        return list(bernoulli_steps(segments, rng.random()))[:n]
+    if kind == "real_ramps":
+        values = []
+        while len(values) < n:
+            lo = rng.random()
+            hi = lo + (1.0 - lo) * rng.random()
+            values += [rng.uniform(lo, hi) for _ in range(rng.randrange(100, 1500))]
+        return values[:n]
+    if kind == "constant":
+        return [rng.choice([0.0, -0.0, 1.0, 0.5, rng.random()])] * n
+    # signed zeros and ones, with a step in the share of ones
+    p = rng.random()
+    q = rng.random()
+    return [rng.choice([0.0, -0.0]) if rng.random() >= (p if i < n // 2 else q) else 1.0
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "real_ramps", "constant", "signed_zeros"])
+def test_adwin_quiet_period_matches_scan_after_every_insert(kind):
+    rng = random.Random(f"adwin-quiet-{kind}")
+    for _ in range(8):
+        kwargs = _random_kwargs(rng)
+        values = _stream(kind, rng, 2500)
+        _assert_same_steps(kwargs, values,
+                           rng.randrange(len(values)) if rng.random() < 0.5 else None)
+
+
+def test_adwin_quiet_period_holds_at_the_largest_mean_gap():
+    # a run of one extreme then the other: the boundary between them has the
+    # largest gap a boundary can have, |D| = n0*n1/w, which the structural
+    # rule bounds; a quiet period one insert longer misses some of its cuts
+    rng = random.Random("adwin-quiet-extremes")
+    for _ in range(60):
+        kwargs = _random_kwargs(rng)
+        first, second = rng.choice([(0.0, 1.0), (1.0, 0.0), (-0.0, 1.0), (1.0, -0.0)])
+        _assert_same_steps(kwargs, [first] * rng.randrange(20, 800) + [second] * 200)
+
+
+def test_adwin_scans_at_most_a_third_of_stationary_updates():
+    a = Adwin()
+    scans = []
+    scan = a._has_cut
+    a._has_cut = lambda: scans.append(a.width) or scan()
+    for x in bernoulli_steps([(10000, 0.2)], seed=21):
+        a.update(x)
+    assert a.n_detections == 0
+    assert len(scans) <= 10000 // 3
