@@ -98,6 +98,18 @@ def _check_params(prefix: str, algorithm: str, params: dict) -> None:
             _check_type(f"{prefix}.{name}", value, known[name])
 
 
+def _construct(what: str, factory, *args, **kwargs):
+    """Build a source or a learner before the first instance is pulled: a
+    ValueError its constructor raises means a config value is out of range.
+    A ConfigError raised inside keeps its own message."""
+    try:
+        return factory(*args, **kwargs)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # sources
 
@@ -121,9 +133,10 @@ def _build_generator(flat: dict, seed: int):
         if raw is not None:
             params[key] = auto_value(raw)
             _check_type(f"source.{key}", params[key], default)
-    base = make_generator(family, seed=derive_seed(seed, "generator"), **params)
+    base = _construct(f"source {family}", make_generator, family,
+                      seed=derive_seed(seed, "generator"), **params)
     if section(flat, "source.drift"):
-        base = _add_drift(base, family, params,
+        base = _construct("source.drift", _add_drift, base, family, params,
                           concept=get_int(flat, "source.drift.concept", required=True),
                           position=get_int(flat, "source.drift.position", required=True),
                           width=get_int(flat, "source.drift.width", default=1),
@@ -152,15 +165,6 @@ def _learner_params(flat: dict, algorithm: str) -> dict:
     params = {k: auto_value(v) for k, v in section(flat, "learner.params").items()}
     _check_params("learner.params", algorithm, {k: [v] for k, v in params.items()})
     return params
-
-
-def _construct(what: str, factory, *args, **kwargs):
-    """Build a learner before the first instance is pulled: a ValueError its
-    constructor raises means a config value is out of range."""
-    try:
-        return factory(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{what}: {exc}") from exc
 
 
 def _get_epochs(flat: dict, key: str) -> int:
@@ -466,12 +470,14 @@ def cmd_generate(args) -> int:
         params.setdefault("concept", args.concept)
     elif args.concept != 0:
         raise ConfigError(f"family {args.family!r} has no concept index")
-    stream = make_generator(args.family, seed=derive_seed(args.seed, "generator"), **params)
+    stream = _construct(f"family {args.family}", make_generator, args.family,
+                        seed=derive_seed(args.seed, "generator"), **params)
     if args.drift_concept is not None:
         if args.drift_position is None:
             raise ConfigError("--drift-position is required with --drift-concept")
-        stream = _add_drift(stream, args.family, params, args.drift_concept,
-                            args.drift_position, args.drift_width, args.seed)
+        stream = _construct("drift", _add_drift, stream, args.family, params,
+                            args.drift_concept, args.drift_position, args.drift_width,
+                            args.seed)
     schema = stream.schema
     write_dataset(stream.take(args.n), schema, args.out)
     print(f"wrote {args.n} rows to {args.out}")

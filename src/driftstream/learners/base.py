@@ -21,6 +21,17 @@ class UnlabeledInstanceError(ValueError):
     """Training requires a labeled instance."""
 
 
+def check_optional_int(name: str, value, low: int, high: Optional[int] = None) -> None:
+    """Raise a ValueError unless ``value`` is None or an int (a bool is not
+    one) in ``[low, high)``; ``high`` None means no upper bound."""
+    if value is None:
+        return
+    if (isinstance(value, bool) or not isinstance(value, int) or value < low
+            or (high is not None and value >= high)):
+        span = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise ValueError(f"{name} must be None or an integer {span}, got {value!r}")
+
+
 class Learner:
     """Incremental classifier: partial_fit one labeled instance, predict a class.
 
@@ -45,6 +56,7 @@ class Learner:
                  default_class: Optional[int] = None):
         self.schema = schema
         self.n_classes = schema.n_classes
+        check_optional_int("default_class", default_class, 0, self.n_classes)
         self.default_class = default_class
         self.fitted = False
         self.frozen = False

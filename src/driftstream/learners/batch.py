@@ -7,7 +7,7 @@ import random
 from typing import Optional, Sequence
 
 from ..core import Instance
-from .base import BatchLearner, argmax_lowest, ensemble_vote
+from .base import BatchLearner, argmax_lowest, check_optional_int, ensemble_vote
 
 
 def _gini(counts: Sequence[int]) -> float:
@@ -48,6 +48,7 @@ class CartBatch(BatchLearner):
         super().__init__(schema, seed, default_class)
         if max_depth < 1 or min_leaf < 1:
             raise ValueError("max_depth and min_leaf must be >= 1")
+        check_optional_int("max_features", max_features, 1)
         self.max_depth = max_depth
         self.min_leaf = min_leaf
         self.max_features = max_features
@@ -158,6 +159,9 @@ class RandomForestBatch(BatchLearner):
         super().__init__(schema, seed, default_class)
         if n_trees < 1:
             raise ValueError("n_trees must be >= 1")
+        if max_depth < 1 or min_leaf < 1:
+            raise ValueError("max_depth and min_leaf must be >= 1")
+        check_optional_int("max_features", max_features, 1)
         self.n_trees = n_trees
         self.max_depth = max_depth
         self.min_leaf = min_leaf

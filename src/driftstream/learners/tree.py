@@ -7,7 +7,7 @@ from typing import Optional, Sequence
 
 from ..core import Instance, RunningStats
 from ..drift import DRIFT, Adwin
-from .base import Learner, argmax_lowest
+from .base import Learner, argmax_lowest, check_optional_int
 
 _N_THRESHOLDS = 10  # candidate cut points per numeric feature
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -108,6 +108,7 @@ class HoeffdingTree(Learner):
             raise ValueError("grace_period must be >= 1")
         if not 0.0 < delta <= 1.0:
             raise ValueError("delta must be in (0, 1]")
+        check_optional_int("max_depth", max_depth, 1)
         self.grace_period = grace_period
         self.delta = delta
         self.tau = tau

@@ -3,6 +3,12 @@
 CSV dialect: comma separator, first row header, "." decimal, UTF-8. The label
 column defaults to the last column. Categorical feature values are written as
 their display tokens so a generated file re-infers to an equivalent schema.
+
+Both reads of a file take its rows ``_BLOCK`` at a time and check and convert
+a block column by column. A block with a blank row, a row of another width or
+a token that does not fit goes row by row instead, and only that path raises
+an error about a row, so every error, row number and instance is the same as
+row by row, and a consumer that stops before a faulty row never sees it.
 """
 
 from __future__ import annotations
@@ -10,8 +16,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from itertools import islice
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import CATEGORICAL, Feature, FeatureSchema, Instance
 from .evaluation import MetricTrace, TraceRecord
@@ -26,13 +34,42 @@ except ImportError:
 TRACE_COLUMNS = ("seq", "cum_accuracy", "window_accuracy", "kappa", "drift", "active_learner")
 TRACE_VERSION = 1
 
+# data rows taken from the CSV reader at a time: one block is what a read holds
+_BLOCK = 256
+
 
 class DatasetError(ValueError):
     pass
 
 
+def _blocks(reader) -> Iterator[list[list[str]]]:
+    """The reader's rows in lists of up to ``_BLOCK``. A malformed line ends
+    the rows read before it with a short block, and its ``csv.Error`` comes
+    after that block, where a row-by-row read would raise it."""
+    while True:
+        block: list[list[str]] = []
+        try:
+            block.extend(islice(reader, _BLOCK))  # keeps the rows before an error
+        except csv.Error:
+            if block:
+                yield block
+            raise
+        if not block:
+            return
+        yield block
+
+
+def _fits(block: list[list[str]], width: int) -> bool:
+    """Whether every row of ``block`` has ``width`` fields; a blank row has none."""
+    return all(map(width.__eq__, map(len, block)))
+
+
+def _width_error(path: str, rowno: int, row: list[str], width: int) -> DatasetError:
+    return DatasetError(f"{path}: row {rowno} has {len(row)} fields, header has {width}")
+
+
 class _ColumnScan:
-    """What ``infer_schema`` types one column from, gathered row by row:
+    """What ``infer_schema`` types one column from, gathered in row order:
     whether any token parses as a number, the first row whose token does not,
     and the distinct tokens up to the first one that does (after it the
     column is numeric or mixed, and its tokens are never needed)."""
@@ -60,6 +97,26 @@ class _ColumnScan:
             return
         self.numeric_seen = True
         self.tokens = None
+
+    def see_all(self, column: Sequence[str], rowno: int) -> None:
+        """Take the column's tokens of consecutive rows from ``rowno`` on, as
+        ``see`` on each would. A block that only confirms what is known (all
+        numeric in a column with no non-numeric token yet, only known tokens
+        in a categorical one, anything in a mixed one) takes one C-level pass
+        or none; any other goes token by token."""
+        if self.first_bad_row is None:
+            try:
+                deque(map(float, column), 0)
+            except ValueError:
+                pass
+            else:
+                self.numeric_seen = True
+                self.tokens = None
+                return
+        elif self.tokens is None or all(map(self.tokens.__contains__, column)):
+            return
+        for rowno, token in enumerate(column, rowno):
+            self.see(token, rowno)
 
 
 @dataclass
@@ -102,17 +159,27 @@ def read_dataset(path: str, label_column: Optional[str] = None) -> DatasetFile:
         label_index = header.index(label) if label in header else None
         scans = [_ColumnScan(col) for col in range(width) if col != label_index]
         classes: dict[str, None] = {}
-        n_rows = 0
-        for rowno, row in enumerate(reader, start=1):
-            if not row:
+        n_rows = last = 0  # last: the number of the last row read
+        for block in _blocks(reader):
+            first, last = last + 1, last + len(block)
+            if width and _fits(block, width):  # under an empty header a blank row fits
+                columns = list(zip(*block))
+                for scan in scans:
+                    scan.see_all(columns[scan.col], first)
+                if label_index is not None:
+                    classes.update(dict.fromkeys(columns[label_index]))
+                n_rows += len(block)
                 continue
-            if len(row) != width:
-                raise DatasetError(f"{path}: row {rowno} has {len(row)} fields, header has {width}")
-            n_rows += 1
-            for scan in scans:
-                scan.see(row[scan.col], rowno)
-            if label_index is not None:
-                classes.setdefault(row[label_index])
+            for rowno, row in enumerate(block, first):
+                if not row:
+                    continue
+                if len(row) != width:
+                    raise _width_error(path, rowno, row, width)
+                n_rows += 1
+                for scan in scans:
+                    scan.see(row[scan.col], rowno)
+                if label_index is not None:
+                    classes.setdefault(row[label_index])
     if not n_rows:
         raise DatasetError(f"{path}: no data rows")
     if label_index is None:
@@ -185,29 +252,64 @@ def _replay(dataset: DatasetFile, schema: FeatureSchema) -> Iterator[Instance]:
         for f in schema.features
     ]
     converters.insert(label_index, {c: i for i, c in enumerate(schema.classes)}.__getitem__)
+    numeric = [col for f, col in zip(schema.features, dataset.feature_columns) if f.is_numeric]
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != dataset.header:
             raise DatasetError(f"{path}: header changed since the file was read")
-        seq = 0
-        for rowno, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) != width:
-                raise DatasetError(f"{path}: row {rowno} has {len(row)} fields, header has {width}")
-            try:
-                x = list(map(_call, converters, row))
-            except (ValueError, KeyError):
-                raise _conversion_error(dataset, schema, converters, rowno, row) from None
-            y = x.pop(label_index)
-            if not all(map(math.isfinite, x)):
-                j = next(j for j, value in enumerate(x) if not math.isfinite(value))
-                raise DatasetError(
-                    f"{path}: row {rowno}: {row[dataset.feature_columns[j]]!r} is not "
-                    f"a finite number for feature {schema.features[j].name!r}"
-                )
-            yield Instance(x, y, seq)
-            seq += 1
+        last = seq = 0  # last: the number of the last row read
+        for block in _blocks(reader):
+            first, last = last + 1, last + len(block)
+            columns = _convert(block, width, converters, numeric)
+            if columns is None:
+                seq = yield from _replay_rows(dataset, schema, converters, block, first, seq)
+            else:
+                ys = columns.pop(label_index)
+                yield from map(Instance, map(list, zip(*columns)), ys, range(seq, seq + len(ys)))
+                seq += len(ys)
+
+
+def _convert(block: list[list[str]], width: int, converters: list,
+             numeric: list[int]) -> Optional[list[list]]:
+    """The block's columns converted, one ``map`` per column; None when a row
+    is blank or of another width, a token does not convert or a ``numeric``
+    column holds a value that is not finite."""
+    if not _fits(block, width):
+        return None
+    try:
+        columns = [list(map(convert, column)) for convert, column in zip(converters, zip(*block))]
+    except (ValueError, KeyError):
+        return None
+    if all(all(map(math.isfinite, columns[col])) for col in numeric):
+        return columns
+    return None
+
+
+def _replay_rows(dataset: DatasetFile, schema: FeatureSchema, converters: list,
+                 rows: list[list[str]], rowno: int, seq: int):
+    """The instances of ``rows``, numbered from ``rowno``, with ``seq`` from
+    ``seq``, converted and checked one row at a time; a faulty row raises a
+    DatasetError naming it. Returns the next ``seq``."""
+    path, width, label_index = dataset.path, len(dataset.header), dataset.label_index
+    for rowno, row in enumerate(rows, rowno):
+        if not row:
+            continue
+        if len(row) != width:
+            raise _width_error(path, rowno, row, width)
+        try:
+            x = list(map(_call, converters, row))
+        except (ValueError, KeyError):
+            raise _conversion_error(dataset, schema, converters, rowno, row) from None
+        y = x.pop(label_index)
+        if not all(map(math.isfinite, x)):
+            j = next(j for j, value in enumerate(x) if not math.isfinite(value))
+            raise DatasetError(
+                f"{path}: row {rowno}: {row[dataset.feature_columns[j]]!r} is not "
+                f"a finite number for feature {schema.features[j].name!r}"
+            )
+        yield Instance(x, y, seq)
+        seq += 1
+    return seq
 
 
 def _conversion_error(dataset: DatasetFile, schema: FeatureSchema, converters: list,

@@ -584,3 +584,90 @@ def test_generate_param_of_wrong_type_exits_one(tmp_path, capsys):
                  "--out", str(out)]) == 1
     assert "config error: --param noise: expected a number, got 'abc'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _count_pulls(monkeypatch, cls):
+    pulls = []
+    original = cls.__next__
+    monkeypatch.setattr(cls, "__next__", lambda self: pulls.append(1) or original(self))
+    return pulls
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("source.noise = 2.5", "source sea: noise must be in [0, 1)"),
+    ("source.concept = 9", "source sea: sea concept must be in 0..3, got 9"),
+    ("source.drift.concept = 1\nsource.drift.position = 100\nsource.drift.width = 0",
+     "source.drift: width must be >= 1"),
+    ("source.drift.concept = 1\nsource.drift.position = -5",
+     "source.drift: position must be >= 0"),
+    ("source.drift.concept = 9\nsource.drift.position = 100",
+     "source.drift: sea concept must be in 0..3, got 9"),
+], ids=["noise", "concept", "drift.width", "drift.position", "drift.concept"])
+def test_source_constructor_error_exits_one_before_first_instance(tmp_path, capsys, monkeypatch,
+                                                                  lines, message):
+    from driftstream.generators import SeaGenerator
+    pulls = _count_pulls(monkeypatch, SeaGenerator)
+    cfg = write_cfg(tmp_path, "s.cfg", ONLINE_CFG.format(out="s.csv", fmt="csv")
+                    .replace("source.concept = 0\n", "") + lines + "\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert pulls == []
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_config_error_inside_a_source_constructor_keeps_its_message(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "l.cfg", ONLINE_CFG.format(out="l.csv", fmt="csv").replace(
+        "source.family = sea\nsource.concept = 0",
+        "source.family = led\nsource.drift.concept = 1\nsource.drift.position = 10"))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "config error: family 'led' has no concept switch\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--param", "noise=2.5"], "family sea: noise must be in [0, 1)"),
+    (["--concept", "9"], "family sea: sea concept must be in 0..3, got 9"),
+    (["--drift-concept", "1", "--drift-position", "5", "--drift-width", "0"],
+     "drift: width must be >= 1"),
+    (["--drift-concept", "1", "--drift-position", "-5"], "drift: position must be >= 0"),
+], ids=["noise", "concept", "drift.width", "drift.position"])
+def test_generate_constructor_error_exits_one(tmp_path, capsys, args, message):
+    out = tmp_path / "g.csv"
+    assert main(["generate", "--family", "sea", "--n", "10", "--out", str(out)] + args) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment, algorithm, param, value, message", [
+    ("online", "hoeffding_tree", "max_depth", "0", "max_depth must be None or an integer >= 1"),
+    ("online", "hoeffding_tree", "max_depth", "-3", "max_depth must be None or an integer >= 1"),
+    ("batch_pretrained", "cart_batch", "max_features", "0",
+     "max_features must be None or an integer >= 1"),
+    ("batch_pretrained", "cart_batch", "max_features", "-2",
+     "max_features must be None or an integer >= 1"),
+    ("batch_pretrained", "random_forest_batch", "max_features", "0",
+     "max_features must be None or an integer >= 1"),
+    ("batch_pretrained", "random_forest_batch", "max_depth", "0",
+     "max_depth and min_leaf must be >= 1"),
+    ("batch_pretrained", "cart_batch", "default_class", "5",
+     "default_class must be None or an integer in [0, 2), got 5"),
+    ("online", "naive_bayes", "default_class", "abc",
+     "default_class must be None or an integer in [0, 2), got 'abc'"),
+    ("online", "naive_bayes", "default_class", "true",
+     "default_class must be None or an integer in [0, 2), got True"),
+], ids=["tree.max_depth.0", "tree.max_depth.-3", "cart.max_features.0",
+        "cart.max_features.-2", "forest.max_features", "forest.max_depth",
+        "default_class.5", "default_class.abc", "default_class.true"])
+def test_none_default_parameter_out_of_range_exits_one(tmp_path, capsys, monkeypatch,
+                                                       experiment, algorithm, param, value,
+                                                       message):
+    from driftstream.generators import SeaGenerator
+    pulls = _count_pulls(monkeypatch, SeaGenerator)
+    prefix = "\nprefix_size = 200" if experiment == "batch_pretrained" else ""
+    cfg = write_cfg(tmp_path, "p.cfg", ONLINE_CFG.format(out="p.csv", fmt="csv").replace(
+        "experiment = online", f"experiment = {experiment}{prefix}").replace(
+        "learner.algorithm = naive_bayes",
+        f"learner.algorithm = {algorithm}\nlearner.params.{param} = {value}"))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert f"config error: learner {algorithm}: {message}" in capsys.readouterr().err
+    assert pulls == []
+    assert not (tmp_path / "p.csv").exists()

@@ -1,14 +1,23 @@
+import csv
+import hashlib
+import math
+import random
 import tracemalloc
 
 import pytest
 
-from driftstream.core import CATEGORICAL, Feature, FeatureSchema
+from driftstream.cli import main
+from driftstream.core import CATEGORICAL, Feature, FeatureSchema, Instance
 from driftstream.evaluation import MetricTrace, TraceRecord, run_prequential
 from driftstream.generators import AgrawalGenerator, LimitedStream, SeaGenerator, StaggerGenerator
 from driftstream.meta import MetaEnsemble
 from driftstream.stream_io import (
+    _BLOCK,
     CsvReplayStream,
     DatasetError,
+    DatasetFile,
+    _ColumnScan,
+    _conversion_error,
     infer_schema,
     read_dataset,
     read_trace,
@@ -270,3 +279,296 @@ def test_empty_trace_rejected(tmp_path):
 def test_unknown_format_rejected(tmp_path):
     with pytest.raises(ValueError):
         write_trace(_trace(1), str(tmp_path / "x.bin"), "bin")
+
+
+# -- block reads against the row-by-row reference ------------------------------------
+#
+# The two functions below are the row-by-row reads that the block reads replaced,
+# kept as the reference: a block read must leave every column scan, class order,
+# instance and error exactly as they do.
+
+def _reference_read(path, label_column=None):
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DatasetError(f"{path}: empty file") from None
+        width = len(header)
+        label = header[-1] if label_column is None else label_column
+        label_index = header.index(label) if label in header else None
+        scans = [_ColumnScan(col) for col in range(width) if col != label_index]
+        classes = {}
+        n_rows = 0
+        for rowno, row in enumerate(reader, start=1):
+            if not row:
+                continue
+            if len(row) != width:
+                raise DatasetError(f"{path}: row {rowno} has {len(row)} fields, header has {width}")
+            n_rows += 1
+            for scan in scans:
+                scan.see(row[scan.col], rowno)
+            if label_index is not None:
+                classes.setdefault(row[label_index])
+    if not n_rows:
+        raise DatasetError(f"{path}: no data rows")
+    if label_index is None:
+        raise DatasetError(f"{path}: label column {label_column!r} not in header")
+    return DatasetFile(path=path, header=header, label_column=label,
+                       scans=scans, classes=tuple(classes))
+
+
+def _reference_replay(dataset, schema):
+    path, width = dataset.path, len(dataset.header)
+    if schema.n_features != width - 1:
+        raise DatasetError(f"{path}: {width - 1} feature columns, "
+                           f"schema declares {schema.n_features}")
+    label_index = dataset.label_index
+    converters = [
+        float if f.is_numeric else {v: float(i) for i, v in enumerate(f.values)}.__getitem__
+        for f in schema.features
+    ]
+    converters.insert(label_index, {c: i for i, c in enumerate(schema.classes)}.__getitem__)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != dataset.header:
+            raise DatasetError(f"{path}: header changed since the file was read")
+        seq = 0
+        for rowno, row in enumerate(reader, start=1):
+            if not row:
+                continue
+            if len(row) != width:
+                raise DatasetError(f"{path}: row {rowno} has {len(row)} fields, header has {width}")
+            try:
+                x = [convert(token) for convert, token in zip(converters, row)]
+            except (ValueError, KeyError):
+                raise _conversion_error(dataset, schema, converters, rowno, row) from None
+            y = x.pop(label_index)
+            if not all(map(math.isfinite, x)):
+                j = next(j for j, value in enumerate(x) if not math.isfinite(value))
+                raise DatasetError(
+                    f"{path}: row {rowno}: {row[dataset.feature_columns[j]]!r} is not "
+                    f"a finite number for feature {schema.features[j].name!r}"
+                )
+            yield Instance(x, y, seq)
+            seq += 1
+
+
+def _read_outcome(read, path, label_column):
+    """The column scans and classes a read leaves, or the error it raises."""
+    try:
+        dataset = read(path, label_column)
+    except (DatasetError, csv.Error) as exc:
+        return type(exc), str(exc)
+    scans = [(s.col, s.numeric_seen, s.first_bad_row, None if s.tokens is None else list(s.tokens))
+             for s in dataset.scans]
+    return scans, dataset.classes
+
+
+def _replay_outcome(instances):
+    """Each instance's repr(x), y and seq up to the end or the error, and the error."""
+    got = []
+    try:
+        for inst in instances:
+            got.append((repr(inst.x), inst.y, inst.seq))
+    except (DatasetError, csv.Error) as exc:
+        return got, (type(exc), str(exc))
+    return got, None
+
+
+_HEADER = ["x1", "color", "x2", "cls"]
+_N_ROWS = 4 * _BLOCK + 37
+# the first row of a block, its last row and the row after it (numbered from 1)
+_AT = (2 * _BLOCK + 1, 3 * _BLOCK, 3 * _BLOCK + 1)
+
+
+def _clean_rows():
+    rng = random.Random(7)
+    return [[repr(rng.uniform(-5.0, 5.0)), rng.choice("rg"), str(rng.randrange(100)),
+             rng.choice("ba")] for _ in range(_N_ROWS)]
+
+
+def _set(col, token):
+    def fault(rows, i):
+        rows[i][_HEADER.index(col)] = token
+    return fault
+
+
+def _late(rows, i):
+    # categories and classes that the file has nowhere before row i + 1, first
+    # seen out of sorted order
+    for k, row in enumerate(rows[i:]):
+        row[1], row[3] = ("blue", "d") if k % 2 else ("amber", "e")
+
+
+def _several(rows, i):
+    rows[i - 2] = []
+    _set("x1", "inf")(rows, i)
+    _set("color", "blue")(rows, i + 2)
+
+
+_FAULTS = {
+    "blank": lambda rows, i: rows.__setitem__(i, []),
+    "wide": lambda rows, i: rows[i].append("9"),
+    "narrow": lambda rows, i: rows[i].pop(),
+    "unknown_class": _set("cls", "c"),
+    "unknown_category": _set("color", "blue"),
+    "word_in_numeric": _set("x2", "twelve"),
+    "number_in_categorical": _set("color", "3"),
+    "nan": _set("x2", "nan"),
+    "inf": _set("x1", "-inf"),
+    "late_category_and_class": _late,
+    "several": _several,
+}
+
+
+def _write(path, rows, label_first):
+    order = [3, 0, 1, 2] if label_first else [0, 1, 2, 3]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([_HEADER[j] for j in order])
+        for row in rows:
+            writer.writerow([row[j] for j in order] if len(row) == 4 else row)
+    return str(path)
+
+
+@pytest.mark.parametrize("label_first", [False, True], ids=["label_last", "label_first"])
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+@pytest.mark.parametrize("at", _AT, ids=["block_first_row", "block_last_row", "after_block"])
+def test_block_reads_match_row_by_row(tmp_path, label_first, fault, at):
+    label = "cls" if label_first else None
+    clean = _write(tmp_path / "clean.csv", _clean_rows(), label_first)
+    rows = _clean_rows()
+    _FAULTS[fault](rows, at - 1)
+    path = _write(tmp_path / "faulty.csv", rows, label_first)
+
+    expected = _read_outcome(_reference_read, path, label)
+    assert _read_outcome(read_dataset, path, label) == expected
+    if not isinstance(expected[0], list):
+        return  # the read failed, so there is nothing to replay
+    dataset = _reference_read(path, label)
+    # the clean file's schema makes the new tokens faults; the file's own, when
+    # one can be inferred, takes them as late categories and classes
+    schemas = [infer_schema(_reference_read(clean, label))]
+    try:
+        schemas.append(infer_schema(dataset))
+    except DatasetError:
+        pass
+    for schema in schemas:
+        expected = _replay_outcome(_reference_replay(dataset, schema))
+        assert _replay_outcome(CsvReplayStream(dataset, schema)) == expected
+        assert len(expected[0]) > _BLOCK  # blocks before the fault were read whole
+
+
+def test_stream_stopping_before_a_bad_row_in_the_same_block_raises_nothing(tmp_path):
+    rows = _clean_rows()
+    bad = 2 * _BLOCK + 10
+    _set("x1", "inf")(rows, bad - 1)
+    dataset = read_dataset(_write(tmp_path / "s.csv", rows, False))
+    schema = infer_schema(dataset)
+    kept = list(LimitedStream(CsvReplayStream(dataset, schema), bad - 1))
+    assert [inst.seq for inst in kept] == list(range(bad - 1))
+    got, error = _replay_outcome(CsvReplayStream(dataset, schema))
+    assert len(got) == bad - 1
+    assert error == (DatasetError, f"{dataset.path}: row {bad}: 'inf' is not "
+                                   f"a finite number for feature 'x1'")
+
+
+def test_dropped_stream_closes_its_file(tmp_path, monkeypatch):
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr("driftstream.stream_io.open", recording_open, raising=False)
+    dataset = read_dataset(_write(tmp_path / "d.csv", _clean_rows(), False))
+    stream = CsvReplayStream(dataset, infer_schema(dataset))
+    next(stream)  # the replay holds its first block
+    assert [fh.closed for fh in opened] == [True, False]
+    del stream
+    assert opened[1].closed
+
+
+def test_malformed_line_comes_after_the_rows_before_it(tmp_path):
+    # a field over csv's size limit makes the reader itself raise
+    path = tmp_path / "m.csv"
+    dataset = read_dataset(_write(path, _clean_rows(), False))
+    schema = infer_schema(dataset)
+    rows = _clean_rows()
+    rows[2 * _BLOCK + 9][1] = "r" * (csv.field_size_limit() + 1)
+    _write(path, rows, False)
+    expected = _replay_outcome(_reference_replay(dataset, schema))
+    assert expected[1][0] is csv.Error and len(expected[0]) == 2 * _BLOCK + 9
+    assert _replay_outcome(CsvReplayStream(dataset, schema)) == expected
+    assert _read_outcome(read_dataset, str(path), None) == \
+        _read_outcome(_reference_read, str(path), None)
+
+
+# -- golden traces of CSV-source runs -------------------------------------------------
+#
+# sha256 of the trace each run writes, recorded when the rows were read one at a
+# time; reading them a block at a time must leave every byte as it was.
+
+def _blank_every(path, every):
+    lines = open(path, encoding="utf-8").read().splitlines(keepends=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        for i, line in enumerate(lines):
+            fh.write(line)
+            if i and i % every == 0:
+                fh.write("\n")
+
+
+def _golden_data(tmp_path, name):
+    path = str(tmp_path / f"{name}.csv")
+    if name == "agrawal":
+        write_dataset(AgrawalGenerator(concept=1, seed=4).take(3000), AgrawalGenerator.schema,
+                      path)
+    elif name == "sea_blank":
+        write_dataset(SeaGenerator(concept=2, noise=0.1, seed=5).take(3000),
+                      SeaGenerator.schema, path)
+        _blank_every(path, 97)
+    else:
+        write_dataset(StaggerGenerator(concept=1, seed=6).take(2000), StaggerGenerator.schema,
+                      path)
+    return path
+
+
+_GOLDEN = {
+    "batch_pretrained": ("agrawal", """
+experiment = batch_pretrained
+prefix_size = 500
+learner.algorithm = cart_batch
+""", "b0a3ffb532ec98b97c638239da520056f66cc39e6f4dd9110dde6eeb36a8ebed"),
+    "cash_pretrained": ("agrawal", """
+experiment = cash_pretrained
+prefix_size = 600
+cash.space.naive_bayes =
+cash.space.majority_class =
+""", "546333828d751d95120e1a76f33ca6cb2f2ec8e8e5da65c56da4a33f96dd9544"),
+    "online": ("sea_blank", """
+experiment = online
+learner.algorithm = hoeffding_adaptive_tree
+eval.detectors = adwin,ddm
+""", "ee8649d8aa04ed3f68c9385ee0e129109f7d479e05e66dd25098e38af8784945"),
+    "meta_online": ("stagger", """
+experiment = meta_online
+""", "ea18e35ac91413ff8ce143187f9cdc0b42834e778be44cea8b1d7058a0974745"),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_GOLDEN))
+def test_csv_source_traces_are_unchanged(tmp_path, experiment):
+    data, lines, digest = _GOLDEN[experiment]
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text(f"""
+seed = 3
+source.kind = csv
+source.path = {_golden_data(tmp_path, data)}
+eval.report_every = 50
+output.path = g.csv
+{lines}""", encoding="utf-8")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    if experiment == "cash_pretrained":
+        assert "naive_bayes" in (tmp_path / "g.leaderboard.json").read_text()
+    assert hashlib.sha256((tmp_path / "g.csv").read_bytes()).hexdigest() == digest

@@ -87,6 +87,27 @@ def test_make_learner_unknown_name():
         make_learner("nope", NUM1)
 
 
+@pytest.mark.parametrize("name", sorted(LEARNER_REGISTRY))
+@pytest.mark.parametrize("default_class", [-1, 2, True, 1.0, "1"])
+def test_default_class_must_be_none_or_a_class_index(name, default_class):
+    with pytest.raises(ValueError, match=r"default_class must be None or an integer in \[0, 2\)"):
+        make_learner(name, NUM1, default_class=default_class)
+    assert make_learner(name, NUM1, default_class=1).default_class == 1
+    assert make_learner(name, NUM1, default_class=None).default_class is None
+
+
+@pytest.mark.parametrize("cls, param", [
+    (HoeffdingTree, "max_depth"), (CartBatch, "max_features"),
+    (RandomForestBatch, "max_features"),
+])
+def test_none_default_counts_must_be_none_or_positive(cls, param):
+    for value in (0, -3, 2.0, False):
+        with pytest.raises(ValueError, match=f"{param} must be None or an integer >= 1"):
+            cls(NUM1, **{param: value})
+    for value in (None, 1, 7):
+        assert getattr(cls(NUM1, **{param: value}), param) == value
+
+
 # -- naive bayes -----------------------------------------------------------------
 
 def test_naive_bayes_single_class_posterior():
