@@ -311,7 +311,9 @@ class Adwin:
                     quiet = max(0, c - n1, math.ceil(room) - 1)
                 if n1 >= min_side and diff * diff >= bound:
                     return True
-        return False  # not reached: the newest boundary (n1 = 0) returns above
+        raise AssertionError(
+            "ADWIN cut scan ended without reaching its newest boundary: n1 = 0 is "
+            "below min_side >= 1 and the quiet count never exceeds c, so it returns")
 
     def _shrink(self) -> bool:
         """Drop oldest buckets while a cut exists. A drop leaves ``_quiet`` at

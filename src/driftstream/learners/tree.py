@@ -59,19 +59,33 @@ class _Split:
 
 
 class _Node:
-    __slots__ = ("class_counts", "split", "children", "num_stats", "num_range",
-                 "cat_stats", "n_since_check", "mc_correct", "nb_correct",
+    """A tree node. A leaf keeps the statistics it learns from; a split
+    clears them, but keeps ``class_counts`` and ``total`` for the fallback
+    prediction of an empty child.
+
+    ``nb_terms[c]`` caches class c's gaussian naive-Bayes terms, one
+    ``(i, mean, var, log(2 pi var))`` per numeric feature with two or more
+    values of class c. Learning an instance of class c drops (sets to None)
+    only ``nb_terms[c]``, since no other class's statistics change;
+    ``_leaf_nb`` rebuilds a dropped entry when it next needs it.
+    """
+
+    __slots__ = ("class_counts", "total", "split", "children", "num_stats", "num_range",
+                 "cat_stats", "nb_terms", "n_since_check", "mc_correct", "nb_correct",
                  "depth", "adwin", "alternate")
 
     def __init__(self, n_classes: int, depth: int = 0):
         self.class_counts = [0] * n_classes
+        self.total = 0  # sum(class_counts)
         self.split: Optional[_Split] = None
         self.children: Optional[list["_Node"]] = None
-        # numeric feature -> per-class RunningStats; plus observed value range
+        # numeric feature -> per-class RunningStats; plus observed [lo, hi]
         self.num_stats: dict[int, list[RunningStats]] = {}
-        self.num_range: dict[int, tuple[float, float]] = {}
+        self.num_range: dict[int, list[float]] = {}
         # categorical feature -> per-value per-class counts
         self.cat_stats: dict[int, list[list[int]]] = {}
+        self.nb_terms: list[Optional[list[tuple[int, float, float, float]]]] = (
+            [None] * n_classes)
         self.n_since_check = 0
         self.mc_correct = 0
         self.nb_correct = 0
@@ -83,10 +97,6 @@ class _Node:
     def is_leaf(self) -> bool:
         return self.split is None
 
-    @property
-    def total(self) -> int:
-        return sum(self.class_counts)
-
 
 class HoeffdingTree(Learner):
     """Very fast decision tree: splits a leaf once the information-gain lead of
@@ -96,6 +106,12 @@ class HoeffdingTree(Learner):
     Numeric features use per-class gaussian summaries with evenly spaced
     candidate thresholds; categorical features split multiway. Leaves predict
     by majority or naive Bayes, whichever has the better record at that leaf.
+
+    A leaf caches each class's gaussian naive-Bayes terms between steps
+    (``_Node.nb_terms``). Learning an instance drops only its own class's
+    terms, the next naive-Bayes answer at the leaf rebuilds them from the
+    same statistics with the same arithmetic, and a split drops them all, so
+    every answer is the float-for-float one an uncached leaf would give.
     """
 
     algorithm = "hoeffding_tree"
@@ -160,25 +176,31 @@ class HoeffdingTree(Learner):
                 self._attempt_split(node)
 
     def _update_stats(self, node: _Node, inst: Instance) -> None:
-        node.class_counts[inst.y] += 1
-        for i, numeric in enumerate(self._numeric):
-            v = inst.x[i]
-            if numeric:
-                per_class = node.num_stats.get(i)
-                if per_class is None:
-                    per_class = [RunningStats() for _ in range(self.n_classes)]
-                    node.num_stats[i] = per_class
-                    node.num_range[i] = (v, v)
-                per_class[inst.y].add(v)
-                lo, hi = node.num_range[i]
-                node.num_range[i] = (min(lo, v), max(hi, v))
-            else:
-                table = node.cat_stats.get(i)
-                if table is None:
+        x, y = inst.x, inst.y
+        node.class_counts[y] += 1
+        node.total += 1
+        node.nb_terms[y] = None
+        if node.total == 1:
+            # every instance carries every feature, so the leaf's entries
+            # are made once, in feature order
+            for i, numeric in enumerate(self._numeric):
+                if numeric:
+                    node.num_stats[i] = [RunningStats() for _ in range(self.n_classes)]
+                    node.num_range[i] = [x[i], x[i]]
+                else:
                     arity = self.schema.features[i].arity
-                    table = [[0] * self.n_classes for _ in range(arity)]
-                    node.cat_stats[i] = table
-                table[int(v)][inst.y] += 1
+                    node.cat_stats[i] = [[0] * self.n_classes for _ in range(arity)]
+        num_range = node.num_range
+        for i, per_class in node.num_stats.items():
+            v = x[i]
+            per_class[y].add(v)
+            bounds = num_range[i]
+            if v < bounds[0]:
+                bounds[0] = v
+            elif v > bounds[1]:
+                bounds[1] = v
+        for i, table in node.cat_stats.items():
+            table[int(x[i])][y] += 1
 
     # -- split search ------------------------------------------------------
 
@@ -264,30 +286,45 @@ class HoeffdingTree(Learner):
         node.num_stats.clear()
         node.num_range.clear()
         node.cat_stats.clear()
+        node.nb_terms = [None] * self.n_classes
 
     # -- prediction --------------------------------------------------------
 
     def _leaf_nb(self, node: _Node, x: Sequence[float]) -> int:
+        """The leaf's naive-Bayes answer for ``x``: per class the log prior,
+        then each numeric feature's gaussian term from ``node.nb_terms``
+        (rebuilt for a class whose entry was dropped), then each categorical
+        feature's Laplace-smoothed term."""
         scores = []
         n = node.total
-        for c in range(self.n_classes):
-            n_c = node.class_counts[c]
+        terms = node.nb_terms
+        rows = [(table[int(x[i])], len(table)) for i, table in node.cat_stats.items()]
+        for c, n_c in enumerate(node.class_counts):
             if n_c == 0:
                 scores.append(-math.inf)
                 continue
             score = math.log(n_c / n)
-            for i, per_class in node.num_stats.items():
-                st = per_class[c]
-                if st.count < 2:
-                    continue
-                var = max(st.variance(), 1e-9)
-                diff = x[i] - st.mean
-                score += -0.5 * (math.log(2.0 * math.pi * var) + diff * diff / var)
-            for i, table in node.cat_stats.items():
-                arity = len(table)
-                score += math.log((table[int(x[i])][c] + 1.0) / (n_c + arity))
+            gauss = terms[c]
+            if gauss is None:
+                gauss = terms[c] = self._gauss_terms(node, c)
+            for i, mean, var, log_norm in gauss:
+                diff = x[i] - mean
+                score += -0.5 * (log_norm + diff * diff / var)
+            for row, arity in rows:
+                score += math.log((row[c] + 1.0) / (n_c + arity))
             scores.append(score)
         return argmax_lowest(scores)
+
+    @staticmethod
+    def _gauss_terms(node: _Node, c: int) -> list[tuple[int, float, float, float]]:
+        terms = []
+        for i, per_class in node.num_stats.items():
+            st = per_class[c]
+            if st.count < 2:
+                continue
+            var = max(st.variance(), 1e-9)
+            terms.append((i, st.mean, var, math.log(2.0 * math.pi * var)))
+        return terms
 
     def _predict(self, x: Sequence[float]) -> int:
         node, fallback, nb = self.root, None, None

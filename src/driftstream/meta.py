@@ -52,13 +52,6 @@ def _discretize(column: np.ndarray) -> np.ndarray:
     return bins
 
 
-def _column_symbols(window: Sequence[Instance], schema: FeatureSchema, i: int) -> np.ndarray:
-    col = np.array([inst.x[i] for inst in window])
-    if schema.features[i].is_numeric:
-        return _discretize(col)
-    return col.astype(int)
-
-
 def extract_meta_features(window: Sequence[Instance], schema: FeatureSchema) -> list[float]:
     """Characterize a full window as a fixed-length real vector.
 
@@ -78,12 +71,13 @@ def extract_meta_features(window: Sequence[Instance], schema: FeatureSchema) -> 
     majority_share = float(class_counts.max()) / n
     general = [float(observed_classes), float(d), n_categorical / d, majority_share]
 
+    # one contiguous row per feature: the window's columns
+    columns = np.ascontiguousarray(np.array([inst.x for inst in window], dtype=float).T)
+
     # statistical block over numeric columns
     means, stds, skews, kurts = [], [], [], []
-    columns = {}
     for i in numeric:
-        col = np.array([inst.x[i] for inst in window])
-        columns[i] = col
+        col = columns[i]
         mu = float(col.mean())
         sigma = float(col.std())
         means.append(mu)
@@ -116,14 +110,16 @@ def extract_meta_features(window: Sequence[Instance], schema: FeatureSchema) -> 
     class_entropy = _entropy_from_counts(class_counts)
     attr_entropies = []
     mutual_infos = []
-    for i in range(d):
-        symbols = _column_symbols(window, schema, i)
+    n_labels = int(ys.max()) + 1
+    for col, feature in zip(columns, schema.features):
+        symbols = _discretize(col) if feature.is_numeric else col.astype(int)
         h_attr = _entropy_from_counts(np.bincount(symbols))
         attr_entropies.append(h_attr)
-        joint: dict[tuple[int, int], int] = {}
-        for s, y in zip(symbols, ys):
-            joint[(int(s), int(y))] = joint.get((int(s), int(y)), 0) + 1
-        h_joint = _entropy_from_counts(np.array(list(joint.values())))
+        # joint (symbol, label) counts in first-seen order, as the entropy's
+        # float sum depends on the order
+        _, first, joint = np.unique(symbols * n_labels + ys, return_index=True,
+                                    return_counts=True)
+        h_joint = _entropy_from_counts(joint[np.argsort(first)])
         mutual_infos.append(max(h_attr + class_entropy - h_joint, 0.0))
     attr_entropy_mean = float(np.mean(attr_entropies)) if attr_entropies else 0.0
     mi_mean = float(np.mean(mutual_infos)) if mutual_infos else 0.0

@@ -7,8 +7,10 @@ their display tokens so a generated file re-infers to an equivalent schema.
 Both reads of a file take its rows ``_BLOCK`` at a time and check and convert
 a block column by column. A block with a blank row, a row of another width or
 a token that does not fit goes row by row instead, and only that path raises
-an error about a row, so every error, row number and instance is the same as
-row by row, and a consumer that stops before a faulty row never sees it.
+an error about a row's fields, so every error, row number and instance is the
+same as row by row, and a consumer that stops before a faulty row never sees
+it. A line the CSV reader itself cannot parse is a DatasetError naming its
+row, raised after the rows before it, as a row-by-row read would meet it.
 """
 
 from __future__ import annotations
@@ -42,20 +44,23 @@ class DatasetError(ValueError):
     pass
 
 
-def _blocks(reader) -> Iterator[list[list[str]]]:
-    """The reader's rows in lists of up to ``_BLOCK``. A malformed line ends
-    the rows read before it with a short block, and its ``csv.Error`` comes
-    after that block, where a row-by-row read would raise it."""
+def _blocks(reader, path: str) -> Iterator[list[list[str]]]:
+    """The reader's rows in lists of up to ``_BLOCK``. A line the reader
+    cannot parse (say, a field over ``csv.field_size_limit()``) ends the rows
+    read before it with a short block; after that block, where a row-by-row
+    read would meet it, comes a DatasetError naming its row."""
+    n_read = 0
     while True:
         block: list[list[str]] = []
         try:
             block.extend(islice(reader, _BLOCK))  # keeps the rows before an error
-        except csv.Error:
+        except csv.Error as exc:
             if block:
                 yield block
-            raise
+            raise DatasetError(f"{path}: row {n_read + len(block) + 1}: {exc}") from None
         if not block:
             return
+        n_read += len(block)
         yield block
 
 
@@ -153,6 +158,10 @@ def read_dataset(path: str, label_column: Optional[str] = None) -> DatasetFile:
             header = next(reader)
         except StopIteration:
             raise DatasetError(f"{path}: empty file") from None
+        except csv.Error as exc:
+            raise DatasetError(f"{path}: header line: {exc}") from None
+        if not header:
+            raise DatasetError(f"{path}: the header line is blank")
         width = len(header)
         label = header[-1] if label_column is None else label_column
         # an unknown label column is reported after the rows, as a row error comes first
@@ -160,9 +169,9 @@ def read_dataset(path: str, label_column: Optional[str] = None) -> DatasetFile:
         scans = [_ColumnScan(col) for col in range(width) if col != label_index]
         classes: dict[str, None] = {}
         n_rows = last = 0  # last: the number of the last row read
-        for block in _blocks(reader):
+        for block in _blocks(reader, path):
             first, last = last + 1, last + len(block)
-            if width and _fits(block, width):  # under an empty header a blank row fits
+            if _fits(block, width):
                 columns = list(zip(*block))
                 for scan in scans:
                     scan.see_all(columns[scan.col], first)
@@ -258,7 +267,7 @@ def _replay(dataset: DatasetFile, schema: FeatureSchema) -> Iterator[Instance]:
         if next(reader, None) != dataset.header:
             raise DatasetError(f"{path}: header changed since the file was read")
         last = seq = 0  # last: the number of the last row read
-        for block in _blocks(reader):
+        for block in _blocks(reader, path):
             first, last = last + 1, last + len(block)
             columns = _convert(block, width, converters, numeric)
             if columns is None:

@@ -671,3 +671,23 @@ def test_none_default_parameter_out_of_range_exits_one(tmp_path, capsys, monkeyp
     assert f"config error: learner {algorithm}: {message}" in capsys.readouterr().err
     assert pulls == []
     assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("\nx,label\n1.0,a\n2.0,b\n", "the header line is blank"),
+    ("x,label\n1.0,a\n" + "7" * 140_000 + ",b\n",
+     "row 2: field larger than field limit (131072)"),
+], ids=["blank_header", "field_over_limit"])
+def test_run_reports_an_unreadable_csv_with_exit_two(tmp_path, capsys, text, message):
+    data = tmp_path / "d.csv"
+    data.write_text(text, encoding="utf-8")
+    cfg = write_cfg(tmp_path, "b.cfg", f"""
+experiment = online
+source.kind = csv
+source.path = {data}
+learner.algorithm = majority_class
+output.path = b.csv
+""")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"error: {data}: {message}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.cfg", "d.csv"]

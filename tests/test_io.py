@@ -294,22 +294,28 @@ def _reference_read(path, label_column=None):
             header = next(reader)
         except StopIteration:
             raise DatasetError(f"{path}: empty file") from None
+        if not header:
+            raise DatasetError(f"{path}: the header line is blank")
         width = len(header)
         label = header[-1] if label_column is None else label_column
         label_index = header.index(label) if label in header else None
         scans = [_ColumnScan(col) for col in range(width) if col != label_index]
         classes = {}
-        n_rows = 0
-        for rowno, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) != width:
-                raise DatasetError(f"{path}: row {rowno} has {len(row)} fields, header has {width}")
-            n_rows += 1
-            for scan in scans:
-                scan.see(row[scan.col], rowno)
-            if label_index is not None:
-                classes.setdefault(row[label_index])
+        n_rows = rowno = 0
+        try:
+            for rowno, row in enumerate(reader, start=1):
+                if not row:
+                    continue
+                if len(row) != width:
+                    raise DatasetError(
+                        f"{path}: row {rowno} has {len(row)} fields, header has {width}")
+                n_rows += 1
+                for scan in scans:
+                    scan.see(row[scan.col], rowno)
+                if label_index is not None:
+                    classes.setdefault(row[label_index])
+        except csv.Error as exc:
+            raise DatasetError(f"{path}: row {rowno + 1}: {exc}") from None
     if not n_rows:
         raise DatasetError(f"{path}: no data rows")
     if label_index is None:
@@ -333,8 +339,15 @@ def _reference_replay(dataset, schema):
         reader = csv.reader(fh)
         if next(reader, None) != dataset.header:
             raise DatasetError(f"{path}: header changed since the file was read")
-        seq = 0
-        for rowno, row in enumerate(reader, start=1):
+        seq = rowno = 0
+        rows = enumerate(reader, start=1)
+        while True:
+            try:
+                rowno, row = next(rows)
+            except StopIteration:
+                return
+            except csv.Error as exc:
+                raise DatasetError(f"{path}: row {rowno + 1}: {exc}") from None
             if not row:
                 continue
             if len(row) != width:
@@ -358,7 +371,7 @@ def _read_outcome(read, path, label_column):
     """The column scans and classes a read leaves, or the error it raises."""
     try:
         dataset = read(path, label_column)
-    except (DatasetError, csv.Error) as exc:
+    except DatasetError as exc:
         return type(exc), str(exc)
     scans = [(s.col, s.numeric_seen, s.first_bad_row, None if s.tokens is None else list(s.tokens))
              for s in dataset.scans]
@@ -371,7 +384,7 @@ def _replay_outcome(instances):
     try:
         for inst in instances:
             got.append((repr(inst.x), inst.y, inst.seq))
-    except (DatasetError, csv.Error) as exc:
+    except DatasetError as exc:
         return got, (type(exc), str(exc))
     return got, None
 
@@ -499,10 +512,45 @@ def test_malformed_line_comes_after_the_rows_before_it(tmp_path):
     rows[2 * _BLOCK + 9][1] = "r" * (csv.field_size_limit() + 1)
     _write(path, rows, False)
     expected = _replay_outcome(_reference_replay(dataset, schema))
-    assert expected[1][0] is csv.Error and len(expected[0]) == 2 * _BLOCK + 9
+    assert len(expected[0]) == 2 * _BLOCK + 9
+    assert expected[1] == (DatasetError, f"{path}: row {2 * _BLOCK + 10}: field larger "
+                                         f"than field limit ({csv.field_size_limit()})")
     assert _replay_outcome(CsvReplayStream(dataset, schema)) == expected
     assert _read_outcome(read_dataset, str(path), None) == \
         _read_outcome(_reference_read, str(path), None)
+
+
+def test_read_names_the_row_of_a_field_over_the_size_limit(tmp_csv):
+    long = "r" * (csv.field_size_limit() + 1)
+    path = tmp_csv("long.csv", f"x,cls\n1.0,a\n\n2.0,b\n{long},a\n3.0,b\n")
+    with pytest.raises(DatasetError) as info:
+        read_dataset(path)
+    assert str(info.value) == (f"{path}: row 4: field larger than field limit "
+                               f"({csv.field_size_limit()})")
+    with pytest.raises(DatasetError, match=r"header line: field larger than field limit"):
+        read_dataset(tmp_csv("long_header.csv", f"x,{long}\n1.0,a\n"))
+
+
+def test_replay_names_the_row_of_a_field_over_the_size_limit(tmp_csv):
+    path = tmp_csv("grown.csv", "x,cls\n1.0,a\n2.0,b\n")
+    dataset = read_dataset(path)
+    schema = infer_schema(dataset)
+    with open(path, "a", encoding="utf-8") as fh:  # the row comes after the read
+        fh.write("\n" + "7" * (csv.field_size_limit() + 1) + ",a\n")
+    got, error = _replay_outcome(CsvReplayStream(dataset, schema))
+    assert [(x, y) for x, y, _ in got] == [("[1.0]", 0), ("[2.0]", 1)]
+    assert error == (DatasetError, f"{path}: row 4: field larger than field limit "
+                                   f"({csv.field_size_limit()})")
+
+
+def test_blank_header_line_is_a_dataset_error(tmp_csv):
+    for text in ("\nx,cls\n1.0,a\n", "\n"):
+        path = tmp_csv("blank.csv", text)
+        with pytest.raises(DatasetError) as info:
+            read_dataset(path)
+        assert str(info.value) == f"{path}: the header line is blank"
+        with pytest.raises(DatasetError, match="the header line is blank"):
+            read_dataset(path, label_column="cls")
 
 
 # -- golden traces of CSV-source runs -------------------------------------------------

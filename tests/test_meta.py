@@ -1,17 +1,25 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from driftstream.core import CATEGORICAL, ConfusionMatrix, Feature, FeatureSchema, Instance
 from driftstream.evaluation import run_prequential
-from driftstream.generators import LimitedStream, SeaGenerator
+from driftstream.generators import (
+    GENERATOR_FAMILIES,
+    LimitedStream,
+    SeaGenerator,
+    make_generator,
+)
 from driftstream.learners import HoeffdingTree, make_learner
 from driftstream.meta import (
     META_FEATURE_NAMES,
     MetaEnsemble,
     OnlineSelector,
     PerformanceWeights,
+    _discretize,
+    _entropy_from_counts,
     extract_meta_features,
     window_best_learner,
 )
@@ -82,6 +90,86 @@ def test_class_entropy_invariant_under_relabeling():
 def test_empty_window_rejected():
     with pytest.raises(ValueError):
         extract_meta_features([], MIXED)
+
+
+def _reference_meta_features(window, schema):
+    """The extraction as it was with a per-sample dict of joint counts and a
+    column array per feature: the vector must stay the same, float for float."""
+    n = len(window)
+    ys = np.array([inst.y for inst in window])
+    d = schema.n_features
+    numeric = schema.numeric_indexes()
+    class_counts = np.bincount(ys, minlength=schema.n_classes)
+    general = [float(int((class_counts > 0).sum())), float(d), (d - len(numeric)) / d,
+               float(class_counts.max()) / n]
+    means, stds, skews, kurts = [], [], [], []
+    columns = {}
+    for i in numeric:
+        col = np.array([inst.x[i] for inst in window])
+        columns[i] = col
+        mu, sigma = float(col.mean()), float(col.std())
+        means.append(mu)
+        stds.append(sigma)
+        if sigma > 1e-12:
+            z = (col - mu) / sigma
+            skews.append(float((z ** 3).mean()))
+            kurts.append(float((z ** 4).mean() - 3.0))
+        else:
+            skews.append(0.0)
+            kurts.append(0.0)
+    correlations = []
+    for a in range(len(numeric)):
+        for b in range(a + 1, len(numeric)):
+            ca, cb = columns[numeric[a]], columns[numeric[b]]
+            if ca.std() > 1e-12 and cb.std() > 1e-12:
+                correlations.append(abs(float(np.corrcoef(ca, cb)[0, 1])))
+            else:
+                correlations.append(0.0)
+
+    def agg(values):
+        if not values:
+            return 0.0, 0.0
+        arr = np.array(values)
+        return float(arr.mean()), float(arr.std())
+
+    statistical = [*agg(means), *agg(stds), *agg(skews), *agg(kurts), *agg(correlations)]
+    class_entropy = _entropy_from_counts(class_counts)
+    attr_entropies, mutual_infos = [], []
+    for i in range(d):
+        col = np.array([inst.x[i] for inst in window])
+        symbols = _discretize(col) if schema.features[i].is_numeric else col.astype(int)
+        h_attr = _entropy_from_counts(np.bincount(symbols))
+        attr_entropies.append(h_attr)
+        joint = {}
+        for s, y in zip(symbols, ys):
+            joint[(int(s), int(y))] = joint.get((int(s), int(y)), 0) + 1
+        h_joint = _entropy_from_counts(np.array(list(joint.values())))
+        mutual_infos.append(max(h_attr + class_entropy - h_joint, 0.0))
+    attr_entropy_mean = float(np.mean(attr_entropies)) if attr_entropies else 0.0
+    mi_mean = float(np.mean(mutual_infos)) if mutual_infos else 0.0
+    noise_signal = (attr_entropy_mean - mi_mean) / mi_mean if mi_mean > 1e-12 else 0.0
+    out = general + statistical + [class_entropy, attr_entropy_mean, mi_mean, noise_signal]
+    return [v if math.isfinite(v) else 0.0 for v in out]
+
+
+def _generator_windows():
+    for family in sorted(GENERATOR_FAMILIES):
+        stream = make_generator(family, seed=17)
+        for size in (300, 300, 1000, 37):
+            yield f"{family}:{size}", [next(stream) for _ in range(size)], stream.schema
+    led = make_generator("led", seed=3)
+    one_class = [inst for inst in (next(led) for _ in range(3000)) if inst.y == 4]
+    yield "led:one_class", one_class, led.schema
+    yield "mixed:one_class", window_from([([0.5 * i, float(i % 2)], 1) for i in range(40)]), MIXED
+
+
+def test_meta_features_equal_the_dict_loop_extraction():
+    seen = set()
+    for name, window, schema in _generator_windows():
+        got = extract_meta_features(window, schema)
+        assert repr(got) == repr(_reference_meta_features(window, schema)), name
+        seen.add(name.split(":")[0])
+    assert seen == set(GENERATOR_FAMILIES) | {"mixed"}
 
 
 # -- window best ------------------------------------------------------------------

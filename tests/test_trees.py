@@ -6,7 +6,15 @@ import pytest
 
 from driftstream.core import CATEGORICAL, Feature, FeatureSchema, Instance
 from driftstream.evaluation import run_prequential
-from driftstream.generators import DriftStream, LimitedStream, SeaGenerator, StaggerGenerator
+from driftstream.generators import (
+    AgrawalGenerator,
+    DriftStream,
+    LedGenerator,
+    LimitedStream,
+    SeaGenerator,
+    StaggerGenerator,
+)
+import driftstream.learners.tree as tree_module
 from driftstream.learners import HoeffdingAdaptiveTree, HoeffdingTree, hoeffding_bound
 
 TWO_BINARY = FeatureSchema(
@@ -200,9 +208,10 @@ def test_hat_without_drift_matches_plain_tree_quality():
     assert abs(acc_ht - acc_hat) < 0.05
 
 
-# -- HAT golden runs ------------------------------------------------------------
-# Recorded from the first HAT implementation: a faster learn step must give
-# the same predictions, events and tree sizes at every step.
+# -- golden runs -------------------------------------------------------------
+# Recorded from the first implementation of each tree (the Agrawal and LED
+# runs from the trees before their leaves cached naive-Bayes terms): a faster
+# step must give the same predictions, events and tree sizes at every step.
 
 def _sea_switch_stream():
     return LimitedStream(DriftStream(SeaGenerator(2, seed=22, noise=0.1),
@@ -210,35 +219,79 @@ def _sea_switch_stream():
                                      position=3000, width=1, seed=24), 9000)
 
 
+def _agrawal_switch_stream():
+    # mixed features: 6 numeric, 3 categorical; HAT swaps alternates in
+    # below the root on this stream
+    return LimitedStream(DriftStream(AgrawalGenerator(2, seed=61),
+                                     AgrawalGenerator(4, seed=62),
+                                     position=3000, width=1, seed=63), 6000)
+
+
+def _led_stream():
+    return LimitedStream(LedGenerator(seed=51, noise=0.1), 4000)
+
+
+# name: (schema, stream, tree seed, tree parameters, (seq, event) list,
+#        final n_nodes, sha256 of every step's "prediction drained-events n_nodes")
 HAT_GOLDEN = {
-    # name: (schema, stream, tree seed, (seq, event) list, final n_nodes,
-    #        sha256 of every step's "prediction drained-events n_nodes")
     "sea_switch": (
-        SeaGenerator.schema, _sea_switch_stream, 5,
+        SeaGenerator.schema, _sea_switch_stream, 5, {},
         [(3338, "drift"), (3522, "swap")], 5,
         "527828d61b196ba5fdad845f01eaece5d76fe249fcea3148c0d05f622b0ca8ed"),
     "stagger_switch": (
-        StaggerGenerator.schema, _stagger_switch_stream, 3,
+        StaggerGenerator.schema, _stagger_switch_stream, 3, {},
         [(10013, "drift"), (10022, "drift"), (10030, "swap")], 4,
         "f53018324bb55fa106cad2d319e669307d850ee4cb4b96a453c8be0bfa0943ad"),
+    "agrawal_switch": (
+        AgrawalGenerator.schema, _agrawal_switch_stream, 5, {},
+        [(1368, "drift"), (3053, "drift"), (3062, "drift"), (3071, "drift"),
+         (3111, "drift"), (3180, "drift"), (3239, "drift"), (3375, "drift"),
+         (3468, "drift"), (3510, "swap"), (3648, "swap"), (3757, "drift"),
+         (3770, "drift"), (3975, "swap"), (3987, "drift")], 21,
+        "f570e21176e8121bfb86e961c8e62422b3fdae04da9267abc42a675ead8afe0e"),
+    "led": (
+        LedGenerator.schema, _led_stream, 5, {"tau": 0.3},
+        [(256, "drift"), (1030, "swap"), (1141, "drift"), (1566, "swap"),
+         (2181, "drift"), (2439, "swap"), (2976, "drift"), (3786, "drift")], 7,
+        "660ef3df8f5c3b06a43962f432b2d06a3c840eb450ed5a7278c69e8fc7baf1e0"),
 }
+
+HT_GOLDEN = {
+    "agrawal_switch": (
+        AgrawalGenerator.schema, _agrawal_switch_stream, 5, {},
+        [], 16,
+        "fdf08a6c4d19225d21a0ac506eb1be103cfcc5b5df10ae3fad89cee6c68b7f67"),
+    "led": (
+        LedGenerator.schema, _led_stream, 5, {"tau": 0.3},
+        [], 7,
+        "263815a897d07c6ede4819644d4adc849a0291f97bcda9c0b949ac357b28b77d"),
+}
+
+
+def _check_golden(cls, golden):
+    schema, stream, seed, params, events, n_nodes, digest = golden
+    tree = cls(schema, seed=seed, **params)
+    rows, seen = [], []
+    for inst in stream():
+        pred = tree.predict(inst.x) if tree.fitted else None
+        tree.partial_fit(inst)
+        drained = tree.drain_events()
+        assert all(source == "hat" for source, _ in drained)
+        seen += [(inst.seq, status) for _, status in drained]
+        rows.append(f"{pred} {drained} {tree.n_nodes}")
+    assert seen == events
+    assert tree.n_nodes == n_nodes
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name", sorted(HAT_GOLDEN))
 def test_hat_golden_runs(name):
-    schema, stream, seed, events, n_nodes, digest = HAT_GOLDEN[name]
-    hat = HoeffdingAdaptiveTree(schema, seed=seed)
-    rows, seen = [], []
-    for inst in stream():
-        pred = hat.predict(inst.x) if hat.fitted else None
-        hat.partial_fit(inst)
-        drained = hat.drain_events()
-        assert all(source == "hat" for source, _ in drained)
-        seen += [(inst.seq, status) for _, status in drained]
-        rows.append(f"{pred} {drained} {hat.n_nodes}")
-    assert seen == events
-    assert hat.n_nodes == n_nodes
-    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == digest
+    _check_golden(HoeffdingAdaptiveTree, HAT_GOLDEN[name])
+
+
+@pytest.mark.parametrize("name", sorted(HT_GOLDEN))
+def test_ht_golden_runs(name):
+    _check_golden(HoeffdingTree, HT_GOLDEN[name])
 
 
 def test_hat_learn_step_computes_each_leaf_answer_once():
@@ -261,3 +314,104 @@ def test_hat_learn_step_computes_each_leaf_answer_once():
         hat.partial_fit(inst)
         assert len(calls) <= walks, inst.seq
     assert alternates_met > 0
+
+
+def test_hat_swaps_an_alternate_in_below_the_root():
+    hat = HoeffdingAdaptiveTree(AgrawalGenerator.schema, seed=5)
+    swaps = []
+    swap = hat._swap_in_alternate
+
+    def spy(node, parent, x):
+        if parent is not None:
+            alt = node.alternate
+            expected = hat.n_nodes - _reachable_nodes(node) + _reachable_nodes(alt)
+            swaps.append((node, parent, parent.split.branch(x), alt, expected))
+        swap(node, parent, x)
+
+    hat._swap_in_alternate = spy
+    live, followed = None, 0
+    for inst in _agrawal_switch_stream():
+        if live is not None:
+            # until the next swap, instances that reach the parent's branch
+            # are answered by the swapped-in subtree, never the old one
+            old, parent, branch, alt = live
+            path = hat._walk(hat.root, inst.x)[0]
+            assert all(node is not old for node in path)
+            if any(node is parent for node in path) and parent.split.branch(inst.x) == branch:
+                assert any(node is alt for node in path)
+                if path[-1].total > 0:
+                    assert hat.predict(inst.x) == hat._walk(alt, inst.x)[1][0]
+                    followed += 1
+        n_swaps = len(swaps)
+        hat.partial_fit(inst)
+        if ("hat", "swap") in hat.drain_events():
+            live = None
+        if len(swaps) > n_swaps:
+            old, parent, branch, alt, expected = swaps[-1]
+            assert parent.children[branch] is alt
+            assert old.alternate is None
+            assert hat.n_nodes == expected == _reachable_nodes(hat.root)
+            live = (old, parent, branch, alt)
+    assert len(swaps) >= 2
+    assert followed > 0
+
+
+def _reference_leaf_scores(tree, node, x):
+    """Class scores as leaves computed them before they cached any term."""
+    scores = []
+    n = sum(node.class_counts)
+    for c in range(tree.n_classes):
+        n_c = node.class_counts[c]
+        if n_c == 0:
+            scores.append(-math.inf)
+            continue
+        score = math.log(n_c / n)
+        for i, per_class in node.num_stats.items():
+            st = per_class[c]
+            if st.count < 2:
+                continue
+            var = max(st.variance(), 1e-9)
+            diff = x[i] - st.mean
+            score += -0.5 * (math.log(2.0 * math.pi * var) + diff * diff / var)
+        for i, table in node.cat_stats.items():
+            arity = len(table)
+            score += math.log((table[int(x[i])][c] + 1.0) / (n_c + arity))
+        scores.append(score)
+    return scores
+
+
+@pytest.mark.parametrize("cls", [HoeffdingTree, HoeffdingAdaptiveTree])
+@pytest.mark.parametrize("stream, params", [
+    (lambda: LimitedStream(_sea_switch_stream(), 4000), {}),
+    (lambda: LimitedStream(_agrawal_switch_stream(), 4000), {}),
+    (lambda: LimitedStream(_led_stream(), 2000), {"tau": 0.3}),
+], ids=["sea", "agrawal", "led"])
+def test_cached_leaf_scores_equal_the_uncached_formula_bitwise(monkeypatch, cls, stream,
+                                                                 params):
+    # every naive-Bayes answer the run asks for, checked on the class scores
+    # that _leaf_nb hands to argmax_lowest
+    instances = stream()
+    tree = cls(instances.schema, seed=5, **params)
+    leaf_nb, argmax = tree._leaf_nb, tree_module.argmax_lowest
+    scored, answers = [], []
+
+    def checked_leaf_nb(node, x):
+        assert node.total == sum(node.class_counts)
+        want = _reference_leaf_scores(tree, node, x)
+        del scored[:]
+        monkeypatch.setattr(tree_module, "argmax_lowest",
+                            lambda values: scored.append(list(values)) or argmax(values))
+        try:
+            answer = leaf_nb(node, x)
+        finally:
+            monkeypatch.setattr(tree_module, "argmax_lowest", argmax)
+        assert [s.hex() for s in scored[0]] == [s.hex() for s in want]
+        answers.append(answer)
+        return answer
+
+    tree._leaf_nb = checked_leaf_nb
+    for inst in instances:
+        if tree.fitted:
+            tree.predict(inst.x)
+        tree.partial_fit(inst)
+    assert len(answers) > 1000
