@@ -14,18 +14,10 @@ import typing
 from concurrent.futures import ProcessPoolExecutor
 
 from .cash import AlgorithmGrid, ConfigSpace, cash_search, grid_expand
-from .config import (
-    ConfigError,
-    auto_value,
-    get_int,
-    get_list,
-    get_str,
-    parse_config_file,
-    section,
-)
+from .config import Config, ConfigError, auto_value, parse_config_file
 from .core import derive_seed
 from .drift import DETECTOR_KINDS, make_detector
-from .evaluation import MetricTrace, evaluate_pretrained, run_holdout, run_prequential
+from .evaluation import evaluate_pretrained, run_holdout, run_prequential
 from .generators import GENERATOR_FAMILIES, DriftStream, LimitedStream, make_generator
 from .learners import BATCH_ALGORITHMS, LEARNER_REGISTRY, make_learner, train_batch
 from .meta import MetaEnsemble
@@ -38,10 +30,7 @@ from .stream_io import (
     write_trace,
 )
 
-DEFAULT_ROSTER = ["hoeffding_tree", "knn_window", "perceptron", "linear_sgd"]
-DEFAULT_N = 20000
-DEFAULT_REPORT_EVERY = 100
-EXPERIMENT_TYPES = ("batch_pretrained", "online", "cash_pretrained", "meta_online")
+DEFAULT_FORMAT = "csv"
 _CONCEPT_FAMILIES = ("agrawal", "stagger", "sea")
 
 
@@ -124,104 +113,43 @@ def _add_drift(base, family: str, params: dict, concept: int, position: int,
                        seed=derive_seed(seed, "drift"))
 
 
-def _build_generator(flat: dict, seed: int):
-    family = get_str(flat, "source.family", required=True,
-                     choices=tuple(GENERATOR_FAMILIES))
+def _build_generator(cfg: Config, seed: int):
+    family = cfg.get_str("source.family", required=True, choices=tuple(GENERATOR_FAMILIES))
     params = {}
     for key, default in _source_params(GENERATOR_FAMILIES[family]).items():
-        raw = flat.get(f"source.{key}")
+        raw = cfg.get_str(f"source.{key}")
         if raw is not None:
             params[key] = auto_value(raw)
             _check_type(f"source.{key}", params[key], default)
     base = _construct(f"source {family}", make_generator, family,
                       seed=derive_seed(seed, "generator"), **params)
-    if section(flat, "source.drift"):
+    if any(key.startswith("source.drift.") for key in cfg.flat):
         base = _construct("source.drift", _add_drift, base, family, params,
-                          concept=get_int(flat, "source.drift.concept", required=True),
-                          position=get_int(flat, "source.drift.position", required=True),
-                          width=get_int(flat, "source.drift.width", default=1),
+                          concept=cfg.get_int("source.drift.concept", required=True),
+                          position=cfg.get_int("source.drift.position", required=True),
+                          width=cfg.get_int("source.drift.width", default=1),
                           seed=seed)
     return base, f"generator:{family}"
 
 
-def build_source(flat: dict, seed: int):
-    kind = get_str(flat, "source.kind", required=True,
-                   choices=("generator", "csv"))
-    n = get_int(flat, "source.n", default=DEFAULT_N if kind == "generator" else None)
-    if n is not None and n < 1:
-        raise ConfigError("source.n must be >= 1")
+def build_source(cfg: Config, seed: int):
+    kind = cfg.get_str("source.kind", required=True, choices=("generator", "csv"))
+    n = cfg.get_int("source.n", default=20000 if kind == "generator" else None, low=1)
     if kind == "generator":
-        stream, label = _build_generator(flat, seed)
+        stream, label = _build_generator(cfg, seed)
         return LimitedStream(stream, n), label
-    path = get_str(flat, "source.path", required=True)
-    dataset = read_dataset(path, get_str(flat, "source.label"))
+    path = cfg.get_str("source.path", required=True)
+    dataset = read_dataset(path, cfg.get_str("source.label"))
     stream = replay_csv(dataset, infer_schema(dataset))
     if n is not None:
         stream = LimitedStream(stream, n)
     return stream, f"csv:{os.path.splitext(os.path.basename(path))[0]}"
 
 
-def _learner_params(flat: dict, algorithm: str) -> dict:
-    params = {k: auto_value(v) for k, v in section(flat, "learner.params").items()}
-    _check_params("learner.params", algorithm, {k: [v] for k, v in params.items()})
-    return params
-
-
-def _get_epochs(flat: dict, key: str) -> int:
-    epochs = get_int(flat, key, default=1)
-    if epochs < 1:
-        raise ConfigError(f"{key} must be >= 1")
-    return epochs
-
-
-def _build_detectors(flat: dict):
-    names = get_list(flat, "eval.detectors", default=[])
-    detectors = {}
-    for name in names:
-        if name not in DETECTOR_KINDS:
-            raise ConfigError(f"eval.detectors: unknown detector {name!r}")
-        detectors[name] = make_detector(name)
-    return detectors
-
-
-def _build_space(flat: dict) -> ConfigSpace:
-    grids: dict[str, dict[str, list]] = {}
-    order: list[str] = []
-    for key, value in flat.items():
-        if not key.startswith("cash.space."):
-            continue
-        rest = key[len("cash.space."):]
-        algorithm, _, param = rest.partition(".")
-        if algorithm not in grids:
-            grids[algorithm] = {}
-            order.append(algorithm)
-        if param:
-            grids[algorithm][param] = [auto_value(t.strip()) for t in value.split(",")]
-    if not order:
-        raise ConfigError("cash_pretrained requires at least one cash.space.<algorithm> entry")
-    for algorithm in order:
-        _check_params(f"cash.space.{algorithm}", algorithm, grids[algorithm])
-    entries = tuple(AlgorithmGrid(a, grids[a]) for a in order)
-    return ConfigSpace(entries)
-
-
 # ---------------------------------------------------------------------------
-# experiment dispatch
-
-def _resolve_defaults(flat: dict) -> dict:
-    resolved = dict(flat)
-    resolved.setdefault("seed", "0")
-    resolved.setdefault("eval.report_every", str(DEFAULT_REPORT_EVERY))
-    resolved.setdefault("output.format", "csv")
-    experiment = resolved.get("experiment")
-    if experiment == "meta_online":
-        resolved.setdefault("learner.roster", ",".join(DEFAULT_ROSTER))
-        resolved.setdefault("learner.mode", "meta")
-        resolved.setdefault("learner.window", "300")
-    if resolved.get("source.kind") == "generator":
-        resolved.setdefault("source.n", str(DEFAULT_N))
-    return resolved
-
+# experiments: each builder reads the keys it uses, builds the run and
+# returns the call that pulls the stream, which returns the trace, the
+# learner label and any further JSON outputs by file suffix
 
 def _take_prefix(stream, prefix_size: int):
     prefix = []
@@ -235,168 +163,154 @@ def _take_prefix(stream, prefix_size: int):
     return prefix
 
 
+def _scoring(cfg: Config) -> dict:
+    return {"report_every": cfg.get_int("eval.report_every", default=100, low=1),
+            "window": cfg.get_int("eval.window", default=200, low=1)}
+
+
+def _build_learner(cfg: Config, algorithm: str, schema, seed: int):
+    params = {k: auto_value(v) for k, v in cfg.section("learner.params").items()}
+    _check_params("learner.params", algorithm, {k: [v] for k, v in params.items()})
+    return _construct(f"learner {algorithm}", make_learner, algorithm, schema,
+                      seed=derive_seed(seed, "learner"), **params)
+
+
+def _batch_pretrained(cfg: Config, source, seed: int):
+    algorithm = cfg.get_str("learner.algorithm", required=True)
+    if algorithm not in BATCH_ALGORITHMS:
+        raise ConfigError(f"batch_pretrained requires a batch algorithm, got {algorithm!r}")
+    prefix_size = cfg.get_int("prefix_size", required=True, low=1)
+    epochs = cfg.get_int("learner.epochs", default=1, low=1)
+    learner = _build_learner(cfg, algorithm, source.schema, seed)
+    scoring = _scoring(cfg)
+
+    def run():
+        train_batch(learner, _take_prefix(source, prefix_size), epochs=epochs)
+        return evaluate_pretrained(source, learner, **scoring), algorithm, {}
+    return run
+
+
+def _online(cfg: Config, source, seed: int):
+    algorithm = cfg.get_str("learner.algorithm", required=True)
+    if algorithm in BATCH_ALGORITHMS:
+        raise ConfigError(f"online requires an incremental algorithm, got {algorithm!r}")
+    learner = _build_learner(cfg, algorithm, source.schema, seed)
+    protocol = cfg.get_str("eval.protocol", default="prequential",
+                           choices=("prequential", "holdout"))
+    if protocol == "holdout":
+        if cfg.get_list("eval.detectors"):
+            raise ConfigError("eval.detectors: the holdout protocol runs no detectors")
+        holdout_size = cfg.get_int("eval.holdout_size", required=True, low=1)
+        period = cfg.get_int("eval.period", required=True, low=holdout_size + 1,
+                             rule="exceed eval.holdout_size")
+        return lambda: (run_holdout(source, learner, holdout_size=holdout_size, period=period),
+                        algorithm, {})
+    pretrain = cfg.get_int("eval.pretrain", default=0, low=0)
+    detectors = {}
+    for name in cfg.get_list("eval.detectors", default=[]):
+        if name not in DETECTOR_KINDS:
+            raise ConfigError(f"eval.detectors: unknown detector {name!r}")
+        detectors[name] = make_detector(name)
+    scoring = _scoring(cfg)
+    return lambda: (run_prequential(source, learner, pretrain=pretrain, detectors=detectors,
+                                    **scoring), algorithm, {})
+
+
+def _build_space(cfg: Config) -> ConfigSpace:
+    grids: dict[str, dict[str, list]] = {}
+    for rest, value in cfg.section("cash.space").items():
+        algorithm, _, param = rest.partition(".")
+        grid = grids.setdefault(algorithm, {})
+        if param:
+            grid[param] = [auto_value(t.strip()) for t in value.split(",")]
+    if not grids:
+        raise ConfigError("cash_pretrained requires at least one cash.space.<algorithm> entry")
+    for algorithm, grid in grids.items():
+        _check_params(f"cash.space.{algorithm}", algorithm, grid)
+    return ConfigSpace(tuple(AlgorithmGrid(a, grid) for a, grid in grids.items()))
+
+
+def _cash_pretrained(cfg: Config, source, seed: int):
+    folds = cfg.get_int("cash.folds", default=3, low=2)
+    prefix_size = cfg.get_int("prefix_size", required=True, low=10 * folds,
+                              rule=f"be >= 10 * cash.folds = {10 * folds}")
+    budget = cfg.get_int("cash.budget", low=1)
+    epochs = cfg.get_int("cash.epochs", default=1, low=1)
+    space = _build_space(cfg)
+    # build each candidate once, unused, so a rejected grid value is a
+    # config error before the prefix is pulled; the search builds its own
+    for candidate in grid_expand(space):
+        _construct(f"cash candidate {candidate.label()}", make_learner,
+                   candidate.algorithm, source.schema, **candidate.as_kwargs())
+    scoring = _scoring(cfg)
+
+    def run():
+        result = cash_search(_take_prefix(source, prefix_size), source.schema, space,
+                             folds=folds, budget=budget, seed=derive_seed(seed, "cash"),
+                             epochs=epochs)
+        board = {
+            "best": result.best_config.label(),
+            "best_loss": result.best_loss,
+            "truncated": result.truncated,
+            "leaderboard": [{"config": c.label(), "loss": loss}
+                            for c, loss in result.leaderboard],
+        }
+        return (evaluate_pretrained(source, result.model, **scoring),
+                f"cash:{result.best_config.label()}", {".leaderboard.json": board})
+    return run
+
+
+def _meta_online(cfg: Config, source, seed: int):
+    roster = cfg.get_list("learner.roster",
+                          default=["hoeffding_tree", "knn_window", "perceptron", "linear_sgd"])
+    mode = cfg.get_str("learner.mode", default="meta",
+                       choices=("meta", "last_best", "weighted_vote"))
+    for name in roster:
+        _check_params("learner.roster", name, {})
+        if name in BATCH_ALGORITHMS:
+            raise ConfigError(f"meta_online roster must be incremental, got {name!r}")
+    members = [
+        make_learner(name, source.schema, seed=derive_seed(seed, f"member{i}"))
+        for i, name in enumerate(roster)
+    ]
+    ensemble = _construct(
+        "meta_online", MetaEnsemble, source.schema, members, mode=mode,
+        window=cfg.get_int("learner.window", default=300),
+        seed=derive_seed(seed, "meta"),
+    )
+    scoring = _scoring(cfg)
+    return lambda: (run_prequential(source, ensemble, **scoring),
+                    f"{mode}:{'+'.join(roster)}", {})
+
+
+EXPERIMENTS = {
+    "batch_pretrained": _batch_pretrained,
+    "online": _online,
+    "cash_pretrained": _cash_pretrained,
+    "meta_online": _meta_online,
+}
+
+
 def run_experiment(flat: dict, out_dir: str = ".") -> dict:
     """Run one experiment config; returns the run summary (also written to disk)."""
-    flat = _resolve_defaults(flat)
-    experiment = get_str(flat, "experiment", required=True, choices=EXPERIMENT_TYPES)
-    seed = get_int(flat, "seed", default=0)
-    report_every = get_int(flat, "eval.report_every", default=DEFAULT_REPORT_EVERY)
-    if report_every < 1:
-        raise ConfigError("eval.report_every must be >= 1")
-    window = get_int(flat, "eval.window", default=200)
-    if window < 1:
-        raise ConfigError("eval.window must be >= 1")
-    fmt = get_str(flat, "output.format", default="csv", choices=("csv", "json"))
-    out_path = get_str(flat, "output.path", required=True)
-    if not os.path.isabs(out_path):
-        out_path = os.path.join(out_dir, out_path)
+    cfg = Config(flat)
+    experiment = cfg.get_str("experiment", required=True, choices=tuple(EXPERIMENTS))
+    seed = cfg.get_int("seed", default=0)
+    fmt = cfg.get_str("output.format", default=DEFAULT_FORMAT, choices=("csv", "json"))
+    out_path = os.path.join(out_dir, cfg.get_str("output.path", required=True))
 
-    source, dataset_label = build_source(flat, seed)
+    source, dataset_label = build_source(cfg, seed)
     started = time.perf_counter()
-
-    if experiment == "batch_pretrained":
-        algorithm = get_str(flat, "learner.algorithm", required=True)
-        if algorithm not in BATCH_ALGORITHMS:
-            raise ConfigError(f"batch_pretrained requires a batch algorithm, got {algorithm!r}")
-        prefix_size = get_int(flat, "prefix_size", required=True)
-        if prefix_size < 1:
-            raise ConfigError("prefix_size must be >= 1")
-        epochs = _get_epochs(flat, "learner.epochs")
-        learner = _construct(f"learner {algorithm}", make_learner, algorithm, source.schema,
-                             seed=derive_seed(seed, "learner"),
-                             **_learner_params(flat, algorithm))
-        prefix = _take_prefix(source, prefix_size)
-        train_batch(learner, prefix, epochs=epochs)
-        trace = evaluate_pretrained(source, learner, report_every=report_every, window=window)
-        learner_label = algorithm
-
-    elif experiment == "online":
-        algorithm = get_str(flat, "learner.algorithm", required=True)
-        if algorithm in BATCH_ALGORITHMS:
-            raise ConfigError(f"online requires an incremental algorithm, got {algorithm!r}")
-        learner = _construct(f"learner {algorithm}", make_learner, algorithm, source.schema,
-                             seed=derive_seed(seed, "learner"),
-                             **_learner_params(flat, algorithm))
-        protocol = get_str(flat, "eval.protocol", default="prequential",
-                           choices=("prequential", "holdout"))
-        if protocol == "holdout":
-            if get_list(flat, "eval.detectors"):
-                raise ConfigError("eval.detectors: the holdout protocol runs no detectors")
-            holdout_size = get_int(flat, "eval.holdout_size", required=True)
-            period = get_int(flat, "eval.period", required=True)
-            if holdout_size < 1:
-                raise ConfigError("eval.holdout_size must be >= 1")
-            if period <= holdout_size:
-                raise ConfigError("eval.period must exceed eval.holdout_size")
-            trace = run_holdout(source, learner, holdout_size=holdout_size, period=period)
-        else:
-            pretrain = get_int(flat, "eval.pretrain", default=0)
-            if pretrain < 0:
-                raise ConfigError("eval.pretrain must be >= 0")
-            trace = run_prequential(
-                source, learner, report_every=report_every, window=window,
-                pretrain=pretrain, detectors=_build_detectors(flat),
-            )
-        learner_label = algorithm
-
-    elif experiment == "cash_pretrained":
-        prefix_size = get_int(flat, "prefix_size", required=True)
-        folds = get_int(flat, "cash.folds", default=3)
-        if folds < 2:
-            raise ConfigError("cash.folds must be >= 2")
-        if prefix_size < 10 * folds:
-            raise ConfigError(f"prefix_size must be >= 10 * cash.folds = {10 * folds}")
-        budget = get_int(flat, "cash.budget")
-        if budget is not None and budget < 1:
-            raise ConfigError("cash.budget must be >= 1")
-        epochs = _get_epochs(flat, "cash.epochs")
-        space = _build_space(flat)
-        # build each candidate once, unused, so a rejected grid value is a
-        # config error before the prefix is pulled; the search builds its own
-        for candidate in grid_expand(space):
-            _construct(f"cash candidate {candidate.label()}", make_learner,
-                       candidate.algorithm, source.schema, **candidate.as_kwargs())
-        prefix = _take_prefix(source, prefix_size)
-        result = cash_search(
-            prefix, source.schema, space,
-            folds=folds,
-            budget=budget,
-            seed=derive_seed(seed, "cash"),
-            epochs=epochs,
-        )
-        trace = evaluate_pretrained(source, result.model, report_every=report_every,
-                                    window=window)
-        learner_label = f"cash:{result.best_config.label()}"
-
-    else:  # meta_online
-        roster = get_list(flat, "learner.roster", default=DEFAULT_ROSTER)
-        mode = get_str(flat, "learner.mode", default="meta",
-                       choices=("meta", "last_best", "weighted_vote"))
-        for name in roster:
-            _check_params("learner.roster", name, {})
-            if name in BATCH_ALGORITHMS:
-                raise ConfigError(f"meta_online roster must be incremental, got {name!r}")
-        members = [
-            make_learner(name, source.schema, seed=derive_seed(seed, f"member{i}"))
-            for i, name in enumerate(roster)
-        ]
-        ensemble = _construct(
-            "meta_online", MetaEnsemble, source.schema, members, mode=mode,
-            window=get_int(flat, "learner.window", default=300),
-            seed=derive_seed(seed, "meta"),
-        )
-        trace = run_prequential(source, ensemble, report_every=report_every, window=window)
-        learner_label = f"{mode}:{'+'.join(roster)}"
-
+    run = EXPERIMENTS[experiment](cfg, source, seed)
+    cfg.reject_unread(experiment)
+    trace, learner_label, outputs = run()
     wall = time.perf_counter() - started
     trace.meta.update(dataset=dataset_label, learner=learner_label,
                       seed=seed, experiment=experiment)
 
-    written: list[str] = []
-    try:
-        parent = os.path.dirname(out_path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        write_trace(trace, out_path, fmt)
-        written.append(out_path)
-        summary = _summary_payload(flat, experiment, trace, wall)
-        summary_path = os.path.splitext(out_path)[0] + ".summary.json"
-        with open(summary_path, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        written.append(summary_path)
-        if experiment == "cash_pretrained":
-            board_path = os.path.splitext(out_path)[0] + ".leaderboard.json"
-            with open(board_path, "w", encoding="utf-8") as fh:
-                json.dump(
-                    {
-                        "best": result.best_config.label(),
-                        "best_loss": result.best_loss,
-                        "truncated": result.truncated,
-                        "leaderboard": [
-                            {"config": c.label(), "loss": loss}
-                            for c, loss in result.leaderboard
-                        ],
-                    },
-                    fh, indent=2, sort_keys=True,
-                )
-                fh.write("\n")
-            written.append(board_path)
-    except Exception:
-        for path in written:
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-        raise
-    summary["trace_path"] = out_path
-    return summary
-
-
-def _summary_payload(flat: dict, experiment: str, trace: MetricTrace, wall: float) -> dict:
     final = trace.final
-    return {
-        "config": flat,
+    summary = {
+        "config": cfg.used,
         "experiment": experiment,
         "final_cum_accuracy": final.cum_accuracy,
         "final_kappa": final.kappa,
@@ -405,6 +319,27 @@ def _summary_payload(flat: dict, experiment: str, trace: MetricTrace, wall: floa
         "n_records": len(trace.records),
         "wall_time_s": wall,
     }
+    stem = os.path.splitext(out_path)[0]
+    written: list[str] = []
+    try:
+        parent = os.path.dirname(out_path)
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+        write_trace(trace, out_path, fmt)
+        written.append(out_path)
+        for suffix, payload in {".summary.json": summary, **outputs}.items():
+            with open(stem + suffix, "w", encoding="utf-8") as fh:
+                written.append(stem + suffix)
+                json.dump(payload, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+    except Exception:
+        for path in written:
+            try:
+                os.remove(path)
+            except OSError:
+                pass
+        raise
+    return dict(summary, trace_path=out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +355,7 @@ def run_config_path(path: str, out_dir: str, seed, fmt) -> dict:
         if base:
             flat["output.path"] = os.path.splitext(base)[0] + "." + fmt
     flat.setdefault("output.path", os.path.splitext(os.path.basename(path))[0]
-                    + "." + flat.get("output.format", "csv"))
+                    + "." + flat.get("output.format", DEFAULT_FORMAT))
     return run_experiment(flat, out_dir=out_dir)
 
 
@@ -476,8 +411,10 @@ def cmd_generate(args) -> int:
         if args.drift_position is None:
             raise ConfigError("--drift-position is required with --drift-concept")
         stream = _construct("drift", _add_drift, stream, args.family, params,
-                            args.drift_concept, args.drift_position, args.drift_width,
-                            args.seed)
+                            args.drift_concept, args.drift_position,
+                            1 if args.drift_width is None else args.drift_width, args.seed)
+    elif args.drift_position is not None or args.drift_width is not None:
+        raise ConfigError("--drift-position and --drift-width need --drift-concept")
     schema = stream.schema
     write_dataset(stream.take(args.n), schema, args.out)
     print(f"wrote {args.n} rows to {args.out}")
@@ -580,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--drift-concept", type=int, default=None)
     p_gen.add_argument("--drift-position", type=int, default=None)
-    p_gen.add_argument("--drift-width", type=int, default=1)
+    p_gen.add_argument("--drift-width", type=int, default=None)
     p_gen.add_argument("--param", action="append", default=[],
                        help="extra family parameter as key=value (repeatable)")
     p_gen.set_defaults(func=cmd_generate)

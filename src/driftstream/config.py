@@ -14,6 +14,8 @@ Example::
     output.format = csv
 
 Lines starting with ``#`` and blank lines are ignored; keys must be unique.
+There are no inline comments: everything after the ``=`` is the value, so a
+``# note`` at the end of a line becomes part of it.
 """
 
 from __future__ import annotations
@@ -52,42 +54,66 @@ def parse_config_file(path: str) -> dict[str, str]:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
 
 
-def section(flat: dict[str, str], prefix: str) -> dict[str, str]:
-    """Sub-keys under ``prefix.`` with the prefix stripped."""
-    head = prefix + "."
-    return {k[len(head):]: v for k, v in flat.items() if k.startswith(head)}
+class Config:
+    """A flat config read one key at a time. ``used`` holds each key read and
+    each default applied, as a config file would hold it, so a key that
+    nothing read is one ``reject_unread`` can name."""
 
+    def __init__(self, flat: dict[str, str]):
+        self.flat = flat
+        self.used: dict[str, str] = {}
 
-def get_str(flat: dict[str, str], key: str, default: Optional[str] = None,
-            required: bool = False, choices: Optional[tuple[str, ...]] = None) -> Optional[str]:
-    value = flat.get(key)
-    if value is None or value == "":
+    def _raw(self, key: str, default, required: bool) -> Optional[str]:
+        """The key's value, or None when it is absent or empty."""
+        raw = self.flat.get(key)
+        if raw:
+            self.used[key] = raw
+            return raw
         if required:
             raise ConfigError(f"missing required config key {key!r}")
-        value = default
-    if value is not None and choices is not None and value not in choices:
-        raise ConfigError(f"{key}: expected one of {choices}, got {value!r}")
-    return value
+        if default is not None:
+            self.used[key] = ",".join(default) if isinstance(default, list) else str(default)
+        elif raw is not None:
+            self.used[key] = raw
+        return None
 
+    def get_str(self, key: str, default: Optional[str] = None, required: bool = False,
+                choices: Optional[tuple[str, ...]] = None) -> Optional[str]:
+        value = self._raw(key, default, required) or default
+        if value is not None and choices is not None and value not in choices:
+            raise ConfigError(f"{key}: expected one of {choices}, got {value!r}")
+        return value
 
-def get_int(flat: dict[str, str], key: str, default: Optional[int] = None,
-            required: bool = False) -> Optional[int]:
-    value = flat.get(key)
-    if value is None or value == "":
-        if required:
-            raise ConfigError(f"missing required config key {key!r}")
-        return default
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
+    def get_int(self, key: str, default: Optional[int] = None, required: bool = False,
+                low: Optional[int] = None, rule: Optional[str] = None) -> Optional[int]:
+        """An integer; one below ``low`` is an error saying the key must
+        ``rule`` (by default, ``be >= low``)."""
+        raw = self._raw(key, default, required)
+        try:
+            value = default if raw is None else int(raw)
+        except ValueError:
+            raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
+        if value is not None and low is not None and value < low:
+            raise ConfigError(f"{key} must {rule or f'be >= {low}'}")
+        return value
 
+    def get_list(self, key: str, default: Optional[list[str]] = None) -> Optional[list[str]]:
+        raw = self._raw(key, default, False)
+        if raw is None:
+            return default
+        return [item.strip() for item in raw.split(",") if item.strip()]
 
-def get_list(flat: dict[str, str], key: str, default: Optional[list[str]] = None) -> Optional[list[str]]:
-    value = flat.get(key)
-    if value is None or value == "":
-        return default
-    return [item.strip() for item in value.split(",") if item.strip()]
+    def section(self, prefix: str) -> dict[str, str]:
+        """Sub-keys under ``prefix.`` with the prefix stripped; reads them all."""
+        head = prefix + "."
+        found = {k: v for k, v in self.flat.items() if k.startswith(head)}
+        self.used.update(found)
+        return {k[len(head):]: v for k, v in found.items()}
+
+    def reject_unread(self, run: str) -> None:
+        unread = [key for key in self.flat if key not in self.used]
+        if unread:
+            raise ConfigError(f"{', '.join(unread)}: not read by this {run} run")
 
 
 def auto_value(token: str):

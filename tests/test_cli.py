@@ -1,13 +1,18 @@
 import json
 import os
+import re
 
 import pytest
 
-from driftstream.cli import main, run_experiment
+from driftstream.cli import EXPERIMENTS, main, run_experiment
 from driftstream.config import ConfigError, parse_config_text
-from driftstream.generators import stagger_rule
-from driftstream.stream_io import read_dataset, read_trace, replay_csv
-from driftstream.generators import StaggerGenerator
+from driftstream.core import derive_seed
+from driftstream.evaluation import run_holdout
+from driftstream.generators import LimitedStream, StaggerGenerator, make_generator, stagger_rule
+from driftstream.learners import make_learner
+from driftstream.stream_io import read_dataset, read_trace, replay_csv, write_trace
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def write_cfg(tmp_path, name, text):
@@ -145,6 +150,60 @@ output.format = json
     assert trace.meta["learner"].startswith("cash:")
 
 
+def test_holdout_run_equals_the_library_run(tmp_path):
+    cfg = write_cfg(tmp_path, "h.cfg", ONLINE_CFG.format(out="h.json", fmt="json").replace(
+        "learner.algorithm = naive_bayes", "learner.algorithm = oza_bagging") + """
+eval.protocol = holdout
+eval.holdout_size = 100
+eval.period = 400
+""")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
+    stream = LimitedStream(make_generator("sea", seed=derive_seed(11, "generator"), concept=0),
+                           1500)
+    learner = make_learner("oza_bagging", stream.schema, seed=derive_seed(11, "learner"))
+    trace = run_holdout(stream, learner, holdout_size=100, period=400)
+    trace.meta.update(dataset="generator:sea", learner="oza_bagging", seed=11,
+                      experiment="online")
+    write_trace(trace, str(tmp_path / "lib.json"), "json")
+    assert (tmp_path / "h.json").read_bytes() == (tmp_path / "lib.json").read_bytes()
+
+
+def test_failed_output_write_removes_the_files_already_written(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "c.cfg", """
+experiment = cash_pretrained
+source.kind = generator
+source.family = sea
+source.n = 600
+prefix_size = 300
+cash.space.naive_bayes =
+output.path = c.csv
+""")
+    # a directory where the leaderboard goes makes its write fail
+    (tmp_path / "c.leaderboard.json").mkdir()
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "error: " in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "c.leaderboard.json"]
+
+
+def test_readme_config_examples_run(tmp_path):
+    with open(README, encoding="utf-8") as fh:
+        blocks = re.findall(r"```ini\n(.*?)```", fh.read(), re.S)
+    assert len(blocks) == 4
+    data = str(tmp_path / "data.csv")
+    assert main(["generate", "--family", "sea", "--n", "600", "--seed", "1",
+                 "--out", data]) == 0
+    experiments = []
+    for block in blocks:
+        flat = parse_config_text(block)
+        flat["source.n"] = str(min(int(flat.get("source.n", 1500)), 1500))
+        if flat["source.kind"] == "csv":
+            flat["source.path"] = data
+        summary = run_experiment(flat, out_dir=str(tmp_path))
+        assert read_trace(summary["trace_path"]).records
+        experiments.append(summary["experiment"])
+    assert sorted(experiments) == sorted(EXPERIMENTS)
+
+
 def test_meta_online_single_member_equals_plain_run(tmp_path):
     shared = """
 seed = 9
@@ -229,6 +288,16 @@ def test_summary_config_reproduces_trace(tmp_path):
     cfg2 = write_cfg(tmp_path, "s2.cfg", rebuilt)
     assert main(["run", "--config", cfg2, "--out", str(tmp_path)]) == 0
     assert (tmp_path / "s.csv").read_bytes() == first
+
+
+def test_summary_config_holds_the_values_the_run_used(tmp_path):
+    cfg = write_cfg(tmp_path, "u.cfg", ONLINE_CFG.format(out="u.csv", fmt="csv"))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "u.summary.json").read_text())
+    assert summary["config"] == dict(
+        parse_config_text(ONLINE_CFG.format(out="u.csv", fmt="csv")),
+        **{"eval.protocol": "prequential", "eval.pretrain": "0", "eval.detectors": "",
+           "eval.report_every": "100", "eval.window": "200"})
 
 
 def test_seed_override_changes_trace(tmp_path):
@@ -447,12 +516,48 @@ output.path = v.csv
     assert not (tmp_path / "v.csv").exists()
 
 
-def test_source_key_without_flat_value_is_ignored(tmp_path):
-    # rbf's centroid weights take a list; source.weights is not read
-    cfg = write_cfg(tmp_path, "w.cfg", ONLINE_CFG.format(out="w.csv", fmt="csv").replace(
-        "source.family = sea\nsource.concept = 0", "source.family = rbf\nsource.weights = 1"))
-    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
-    assert read_trace(str(tmp_path / "w.csv")).final.seq == 1499
+_HOLDOUT = "eval.protocol = holdout\neval.holdout_size = 100\neval.period = 500\n"
+
+
+@pytest.mark.parametrize("old, new, keys, experiment", [
+    ("learner.algorithm = naive_bayes", "learner.algorithm = knn_window\nlearner.parms.k = 1",
+     "learner.parms.k", "online"),
+    ("learner.algorithm = naive_bayes", "learner.algorithm = naive_bayes\neval.protocl = holdout",
+     "eval.protocl", "online"),
+    ("learner.algorithm = naive_bayes", "learner.algorithm = knn_window\nlearner.parms.k = 1\n"
+     "eval.protocl = holdout", "learner.parms.k, eval.protocl", "online"),
+    ("source.concept = 0", "source.nois = 0.1", "source.nois", "online"),
+    # rbf's centroid weights take a list, which no flat value gives
+    ("source.family = sea\nsource.concept = 0", "source.family = rbf\nsource.weights = 1",
+     "source.weights", "online"),
+    ("source.kind = generator\nsource.family = sea\nsource.concept = 0",
+     "source.kind = csv\nsource.path = {data}\nsource.drift.concept = 1",
+     "source.drift.concept", "online"),
+    ("experiment = online", "experiment = meta_online", "learner.algorithm", "meta_online"),
+    ("learner.algorithm = naive_bayes", f"learner.algorithm = naive_bayes\n{_HOLDOUT}"
+     "eval.pretrain = 10", "eval.pretrain", "online"),
+    ("learner.algorithm = naive_bayes", f"learner.algorithm = naive_bayes\n{_HOLDOUT}"
+     "eval.window = 50", "eval.window", "online"),
+], ids=["learner.parms", "eval.protocl", "both", "source.nois", "rbf.weights",
+        "csv.source.drift", "meta_online.learner.algorithm", "holdout.eval.pretrain",
+        "holdout.eval.window"])
+def test_unread_key_exits_one_before_first_instance(tmp_path, capsys, monkeypatch, old, new,
+                                                    keys, experiment):
+    from driftstream.generators import RbfGenerator, SeaGenerator
+    from driftstream.stream_io import CsvReplayStream
+    pulls = [_count_pulls(monkeypatch, cls)
+             for cls in (SeaGenerator, RbfGenerator, CsvReplayStream)]
+    data = tmp_path / "d.csv"
+    data.write_text("x,label\n" + "".join(f"{i}.0,{'ab'[i % 2]}\n" for i in range(40)),
+                    encoding="utf-8")
+    text = ONLINE_CFG.format(out="k.csv", fmt="csv")
+    assert old in text
+    cfg = write_cfg(tmp_path, "k.cfg", text.replace(old, new.format(data=data)))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert (f"config error: {keys}: not read by this {experiment} run\n"
+            in capsys.readouterr().err)
+    assert pulls == [[], [], []]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "k.cfg"]
 
 
 @pytest.mark.parametrize("kind", ["csv"])
@@ -629,7 +734,11 @@ def test_config_error_inside_a_source_constructor_keeps_its_message(tmp_path, ca
     (["--drift-concept", "1", "--drift-position", "5", "--drift-width", "0"],
      "drift: width must be >= 1"),
     (["--drift-concept", "1", "--drift-position", "-5"], "drift: position must be >= 0"),
-], ids=["noise", "concept", "drift.width", "drift.position"])
+    (["--drift-position", "2", "--drift-width", "3"],
+     "--drift-position and --drift-width need --drift-concept"),
+    (["--drift-width", "3"], "--drift-position and --drift-width need --drift-concept"),
+], ids=["noise", "concept", "drift.width", "drift.position", "drift.no_concept",
+        "drift.width.no_concept"])
 def test_generate_constructor_error_exits_one(tmp_path, capsys, args, message):
     out = tmp_path / "g.csv"
     assert main(["generate", "--family", "sea", "--n", "10", "--out", str(out)] + args) == 1
