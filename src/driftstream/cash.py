@@ -1,14 +1,13 @@
 """Combined algorithm/hyperparameter search by exhaustive grid over a buffer.
 
 Candidate configurations are scored with k-fold cross-validated 0-1 loss over
-a buffered stream prefix; folds are temporally contiguous by default. The
-winner is retrained on the whole buffer and frozen.
+a buffered stream prefix; the folds are contiguous ranges of the prefix, in
+stream order. The winner is retrained on the whole buffer and frozen.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -77,13 +76,9 @@ def grid_expand(space: ConfigSpace) -> list[Candidate]:
     return out
 
 
-def fold_slices(n: int, k: int, shuffle: bool = False,
-                seed: int = 0) -> list[list[int]]:
-    """Index folds: contiguous ranges by default, shuffled assignment on request."""
-    order = list(range(n))
-    if shuffle:
-        random.Random(seed).shuffle(order)
-    return [order[(i * n) // k:((i + 1) * n) // k] for i in range(k)]
+def fold_slices(n: int, k: int) -> list[list[int]]:
+    """Index folds: k contiguous ranges of ``range(n)``, in order."""
+    return [list(range((i * n) // k, ((i + 1) * n) // k)) for i in range(k)]
 
 
 def fit_candidate(candidate: Candidate, data: Sequence[Instance],
@@ -108,7 +103,7 @@ def _validation_loss(model: Learner, fold: Sequence[Instance]) -> float:
 def cash_search(buffer: Sequence[Instance], schema: FeatureSchema,
                 space: ConfigSpace, folds: int,
                 budget: Optional[int] = None, seed: int = 0,
-                epochs: int = 1, shuffle: bool = False) -> CashResult:
+                epochs: int = 1) -> CashResult:
     """Exhaustive (or budget-truncated) grid search minimizing mean k-fold
     0-1 loss; ties resolve to the earliest candidate in grid order."""
     buffer = list(buffer)
@@ -128,19 +123,16 @@ def cash_search(buffer: Sequence[Instance], schema: FeatureSchema,
             candidates = candidates[:budget]
             truncated = True
 
-    fold_indexes = fold_slices(len(buffer), folds, shuffle=shuffle, seed=seed)
+    bounds = [(idx[0], idx[-1] + 1) for idx in fold_slices(len(buffer), folds)]
     leaderboard: list[tuple[Candidate, float]] = []
     for rank, candidate in enumerate(candidates):
         losses = []
-        for i, valid_idx in enumerate(fold_indexes):
-            valid_set = set(valid_idx)
-            train = [buffer[j] for j in range(len(buffer)) if j not in valid_set]
-            valid = [buffer[j] for j in valid_idx]
+        for i, (lo, hi) in enumerate(bounds):
             model = fit_candidate(
-                candidate, train, schema,
+                candidate, buffer[:lo] + buffer[hi:], schema,
                 seed=derive_seed(seed, f"cash:{rank}:{i}"), epochs=epochs,
             )
-            losses.append(_validation_loss(model, valid))
+            losses.append(_validation_loss(model, buffer[lo:hi]))
         leaderboard.append((candidate, sum(losses) / folds))
 
     best_config, best_loss = leaderboard[0]

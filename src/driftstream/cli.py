@@ -25,6 +25,7 @@ from .stream_io import (
     DatasetError,
     infer_schema,
     read_dataset,
+    read_trace,
     replay_csv,
     write_dataset,
     write_trace,
@@ -151,18 +152,6 @@ def build_source(cfg: Config, seed: int):
 # returns the call that pulls the stream, which returns the trace, the
 # learner label and any further JSON outputs by file suffix
 
-def _take_prefix(stream, prefix_size: int):
-    prefix = []
-    for _ in range(prefix_size):
-        try:
-            prefix.append(next(stream))
-        except StopIteration:
-            raise ValueError(
-                f"stream exhausted while buffering the {prefix_size}-sample training prefix"
-            ) from None
-    return prefix
-
-
 def _scoring(cfg: Config) -> dict:
     return {"report_every": cfg.get_int("eval.report_every", default=100, low=1),
             "window": cfg.get_int("eval.window", default=200, low=1)}
@@ -185,7 +174,7 @@ def _batch_pretrained(cfg: Config, source, seed: int):
     scoring = _scoring(cfg)
 
     def run():
-        train_batch(learner, _take_prefix(source, prefix_size), epochs=epochs)
+        train_batch(learner, source.take(prefix_size), epochs=epochs)
         return evaluate_pretrained(source, learner, **scoring), algorithm, {}
     return run
 
@@ -245,7 +234,7 @@ def _cash_pretrained(cfg: Config, source, seed: int):
     scoring = _scoring(cfg)
 
     def run():
-        result = cash_search(_take_prefix(source, prefix_size), source.schema, space,
+        result = cash_search(source.take(prefix_size), source.schema, space,
                              folds=folds, budget=budget, seed=derive_seed(seed, "cash"),
                              epochs=epochs)
         board = {
@@ -416,7 +405,7 @@ def cmd_generate(args) -> int:
     elif args.drift_position is not None or args.drift_width is not None:
         raise ConfigError("--drift-position and --drift-width need --drift-concept")
     schema = stream.schema
-    write_dataset(stream.take(args.n), schema, args.out)
+    write_dataset(LimitedStream(stream, args.n), schema, args.out)
     print(f"wrote {args.n} rows to {args.out}")
     for feat in schema.features:
         kind = "numeric" if feat.is_numeric else f"categorical({feat.arity})"
@@ -437,30 +426,20 @@ def cmd_summarize(args) -> int:
             ))
         else:
             paths.append(target)
-    groups: dict[str, dict[str, float]] = {}
-    version_seen = None
+    # each trace is one run: its final cumulative accuracy, by learner
+    groups: dict[str, list[float]] = {}
     for path in paths:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        version = payload.get("trace_version")
-        if version is None:
-            continue
-        if version_seen is None:
-            version_seen = version
-        elif version != version_seen:
-            raise ValueError(f"mixed incompatible trace versions: {version_seen} vs {version}")
-        meta = payload.get("meta", {})
-        learner = meta.get("learner", "unknown")
-        dataset = meta.get("dataset", os.path.basename(path))
-        final = payload["records"][-1]["cum_accuracy"]
-        groups.setdefault(learner, {})[dataset] = final
+        if not path.endswith(".json"):
+            raise ValueError(f"{path}: summarize takes JSON traces only")
+        trace = read_trace(path)
+        groups.setdefault(trace.meta.get("learner", "unknown"), []).append(
+            trace.final.cum_accuracy)
     if not groups:
         raise ValueError("no JSON traces found to summarize")
 
-    header = ("learner", "datasets", "mean", "median", "min", "max")
+    header = ("learner", "runs", "mean", "median", "min", "max")
     rows = []
-    for learner in sorted(groups):
-        values = list(groups[learner].values())
+    for learner, values in sorted(groups.items()):
         rows.append((
             learner,
             str(len(values)),
@@ -522,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="extra family parameter as key=value (repeatable)")
     p_gen.set_defaults(func=cmd_generate)
 
-    p_sum = sub.add_parser("summarize", help="aggregate JSON traces by learner")
+    p_sum = sub.add_parser("summarize", help="aggregate JSON traces by learner, one run each")
     p_sum.add_argument("paths", nargs="+")
     p_sum.add_argument("--out", default=None, help="also write the table as CSV")
     p_sum.set_defaults(func=cmd_summarize)

@@ -7,6 +7,7 @@ stagger 3/2, sea 3/2, led 24/10, hyperplane 10/2, rbf 10/2. Identical
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from typing import Iterator, Optional
@@ -34,7 +35,11 @@ class InstanceStream:
         return inst
 
     def take(self, n: int) -> list[Instance]:
-        return [next(self) for _ in range(n)]
+        """The next ``n`` instances; a ValueError if the stream ends first."""
+        out = list(itertools.islice(self, n))
+        if len(out) < n:
+            raise ValueError(f"stream ended after {len(out)} of the {n} instances to take")
+        return out
 
 
 class LimitedStream(InstanceStream):

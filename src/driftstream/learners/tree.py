@@ -147,16 +147,10 @@ class HoeffdingTree(Learner):
 
     # -- learning ----------------------------------------------------------
 
-    def _learn(self, inst: Instance,
-               kept: Optional[tuple[_Node, Optional[int]]] = None) -> None:
-        """``kept``: the leaf ``_predict`` reached and its naive-Bayes answer, if any."""
-        if kept is not None:
-            self._leaf_learn(kept[0], inst, kept[1])
-            return
-        node = self.root
-        while not node.is_leaf:
-            node = node.children[node.split.branch(inst.x)]
-        self._leaf_learn(node, inst)
+    def _learn(self, inst: Instance, kept: Optional[tuple] = None) -> None:
+        """``kept`` is the root walk ``_predict`` made for ``inst.x``."""
+        path, _, nb = kept if kept is not None else self._walk(self.root, inst.x)
+        self._leaf_learn(path[-1], inst, nb)
 
     def _leaf_learn(self, node: _Node, inst: Instance, nb: Optional[int] = None) -> None:
         """Train a leaf; ``nb`` is its naive-Bayes answer for ``inst.x`` when
@@ -327,19 +321,36 @@ class HoeffdingTree(Learner):
         return terms
 
     def _predict(self, x: Sequence[float]) -> int:
-        node, fallback, nb = self.root, None, None
-        while not node.is_leaf:
-            if node.total > 0:
-                fallback = node
-            node = node.children[node.split.branch(x)]
-        if node.total == 0:
-            pred = argmax_lowest(fallback.class_counts) if fallback else None
-        elif node.nb_correct > node.mc_correct:
-            pred = nb = self._leaf_nb(node, x)
-        else:
-            pred = argmax_lowest(node.class_counts)
-        self._keep(x, (node, nb))
+        walk = self._walk(self.root, x)
+        self._keep(x, walk)
+        pred = walk[1][0]
         return (self.default_class or 0) if pred is None else pred
+
+    def _walk(self, node: _Node, x: Sequence[float]
+              ) -> tuple[list[_Node], list[Optional[int]], Optional[int]]:
+        """Walk from ``node`` to the leaf for ``x``. Returns the path, what the
+        subtree at each node on it answers (None without data at or below it
+        on the path), and the leaf's naive-Bayes answer if the leaf answers
+        with it (None otherwise: ``_leaf_learn`` computes it when needed)."""
+        path = [node]
+        while not node.is_leaf:
+            node = node.children[node.split.branch(x)]
+            path.append(node)
+        if node.total > 0:
+            if node.nb_correct > node.mc_correct:
+                pred = nb = self._leaf_nb(node, x)
+            else:
+                pred, nb = argmax_lowest(node.class_counts), None
+            return path, [pred] * len(path), nb
+        # empty leaf: each node falls back to the majority of the deepest
+        # non-empty internal node at or below it
+        preds: list[Optional[int]] = [None] * len(path)
+        fallback = None
+        for i in range(len(path) - 2, -1, -1):
+            if fallback is None and path[i].total > 0:
+                fallback = argmax_lowest(path[i].class_counts)
+            preds[i] = fallback
+        return path, preds, None
 
 
 class HoeffdingAdaptiveTree(HoeffdingTree):
@@ -360,12 +371,6 @@ class HoeffdingAdaptiveTree(HoeffdingTree):
         if not 0.0 < adwin_delta <= 1.0:
             raise ValueError("adwin_delta must be in (0, 1]")
         self.adwin_delta = adwin_delta
-
-    def _predict(self, x: Sequence[float]) -> int:
-        walk = self._walk(self.root, x)
-        self._keep(x, walk)
-        pred = walk[1][0]
-        return (self.default_class or 0) if pred is None else pred
 
     def _learn(self, inst: Instance, kept: Optional[tuple] = None) -> None:
         """``kept`` is the root walk ``_predict`` made for ``inst.x``."""
@@ -400,29 +405,6 @@ class HoeffdingAdaptiveTree(HoeffdingTree):
                 self._events.append(("hat", "swap"))
                 return
         self._leaf_learn(path[-1], inst, nb)
-
-    def _walk(self, node: _Node, x: Sequence[float]
-              ) -> tuple[list[_Node], list[Optional[int]], Optional[int]]:
-        """Walk from ``node`` to the leaf for ``x``. Returns the path, what the
-        subtree at each node on it answers (None without data at or below it
-        on the path), and the leaf's naive-Bayes answer (None if it is empty)."""
-        path = [node]
-        while not node.is_leaf:
-            node = node.children[node.split.branch(x)]
-            path.append(node)
-        if node.total > 0:
-            nb = self._leaf_nb(node, x)
-            pred = nb if node.nb_correct > node.mc_correct else argmax_lowest(node.class_counts)
-            return path, [pred] * len(path), nb
-        # empty leaf: each node falls back to the majority of the deepest
-        # non-empty internal node at or below it
-        preds: list[Optional[int]] = [None] * len(path)
-        fallback = None
-        for i in range(len(path) - 2, -1, -1):
-            if fallback is None and path[i].total > 0:
-                fallback = argmax_lowest(path[i].class_counts)
-            preds[i] = fallback
-        return path, preds, None
 
     def _swap_in_alternate(self, node: _Node, parent: Optional[_Node],
                            x: Sequence[float]) -> None:

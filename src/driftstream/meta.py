@@ -4,7 +4,6 @@ best-of-last-window baseline."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -213,14 +212,6 @@ class OnlineSelector:
         return -best[1]
 
 
-@dataclass
-class WindowState:
-    """One tumbling window in flight: its samples and per-learner hit counts."""
-
-    samples: list[Instance] = field(default_factory=list)
-    hits: list[int] = field(default_factory=list)
-
-
 class MetaEnsemble(Learner):
     """Heterogeneous roster with an online-selected active member.
 
@@ -250,7 +241,9 @@ class MetaEnsemble(Learner):
         self.active_index = 0
         self.selector = selector if selector is not None else OnlineSelector(len(members))
         self.perf = PerformanceWeights(len(members), alpha)
-        self._window = WindowState(hits=[0] * len(members))
+        # the tumbling window in flight: its samples and per-member hit counts
+        self._samples: list[Instance] = []
+        self._hits = [0] * len(members)
         self.fitted = any(m.fitted for m in self.members)
 
     def _predict(self, x: Sequence[float]) -> int:
@@ -278,19 +271,19 @@ class MetaEnsemble(Learner):
             for j, m in enumerate(self.members)
         ]
         for j, c in enumerate(correct):
-            self._window.hits[j] += c
+            self._hits[j] += c
         self.perf.update(correct)
         for m in self.members:
             m.partial_fit(inst)
-        self._window.samples.append(inst)
-        if len(self._window.samples) == self.window_size:
+        self._samples.append(inst)
+        if len(self._samples) == self.window_size:
             self._window_boundary()
 
     def _window_boundary(self) -> None:
-        best = window_best_learner(self._window.hits, self.active_index)
+        best = window_best_learner(self._hits, self.active_index)
         new_active = self.active_index
         if self.mode == "meta":
-            features = extract_meta_features(self._window.samples, self.schema)
+            features = extract_meta_features(self._samples, self.schema)
             self.selector.partial_fit(features, best)
             new_active = self.selector.predict(features)
         elif self.mode == "last_best":
@@ -298,4 +291,4 @@ class MetaEnsemble(Learner):
         if new_active != self.active_index:
             self.active_index = new_active
             self._events.append(("selector", f"switch:{new_active}"))
-        self._window = WindowState(hits=[0] * len(self.members))
+        self._samples, self._hits = [], [0] * len(self.members)

@@ -423,20 +423,27 @@ def read_trace(path: str) -> MetricTrace:
     if path.endswith(".json"):
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-        if payload.get("trace_version") != TRACE_VERSION:
-            raise ValueError(f"{path}: unsupported trace version {payload.get('trace_version')!r}")
-        records = [
-            TraceRecord(
-                seq=r["seq"],
-                cum_accuracy=r["cum_accuracy"],
-                window_accuracy=r["window_accuracy"],
-                kappa=r["kappa"],
-                drift_events=[tuple(e) for e in r["drift_events"]],
-                active_learner=r["active_learner"],
-            )
-            for r in payload["records"]
-        ]
-        return MetricTrace(records=records, meta=payload["meta"])
+        version = payload.get("trace_version") if isinstance(payload, dict) else None
+        if version != TRACE_VERSION:
+            raise ValueError(f"{path}: unsupported trace version {version!r}")
+        try:
+            records = [
+                TraceRecord(
+                    seq=r["seq"],
+                    cum_accuracy=r["cum_accuracy"],
+                    window_accuracy=r["window_accuracy"],
+                    kappa=r["kappa"],
+                    drift_events=[tuple(e) for e in r["drift_events"]],
+                    active_learner=r["active_learner"],
+                )
+                for r in payload["records"]
+            ]
+            meta = payload["meta"]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"{path}: not a trace: {exc!r}") from None
+        if not records:
+            raise ValueError(f"{path}: the trace has no records")
+        return MetricTrace(records=records, meta=meta)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader)

@@ -67,14 +67,6 @@ def test_fold_slices_contiguous_partition():
     assert sorted(flat) == list(range(10))
 
 
-def test_fold_slices_shuffle_deterministic():
-    a = fold_slices(20, 4, shuffle=True, seed=3)
-    b = fold_slices(20, 4, shuffle=True, seed=3)
-    assert a == b
-    assert a != fold_slices(20, 4)
-    assert sorted(i for fold in a for i in fold) == list(range(20))
-
-
 # -- search ---------------------------------------------------------------------
 
 def _counted_buffer():

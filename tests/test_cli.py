@@ -1,13 +1,15 @@
 import json
 import os
 import re
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from driftstream.cli import EXPERIMENTS, main, run_experiment
 from driftstream.config import ConfigError, parse_config_text
 from driftstream.core import derive_seed
-from driftstream.evaluation import run_holdout
+from driftstream.evaluation import MetricTrace, TraceRecord, run_holdout
 from driftstream.generators import LimitedStream, StaggerGenerator, make_generator, stagger_rule
 from driftstream.learners import make_learner
 from driftstream.stream_io import read_dataset, read_trace, replay_csv, write_trace
@@ -126,6 +128,27 @@ output.path = p.csv
 """)
     assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("experiment, keys", [
+    ("batch_pretrained", "learner.algorithm = cart_batch"),
+    ("cash_pretrained", "cash.space.naive_bayes ="),
+])
+def test_prefix_longer_than_the_stream_exits_two_naming_the_shortfall(tmp_path, capsys,
+                                                                      experiment, keys):
+    cfg = write_cfg(tmp_path, "p.cfg", f"""
+experiment = {experiment}
+source.kind = generator
+source.family = sea
+source.n = 300
+prefix_size = 400
+{keys}
+output.path = p.json
+output.format = json
+""")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "stream ended after 300 of the 400 instances" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["p.cfg"]
 
 
 def test_cash_pretrained_writes_leaderboard(tmp_path):
@@ -334,7 +357,22 @@ def test_generate_is_deterministic(tmp_path):
     args = ["generate", "--family", "sea", "--n", "300", "--seed", "4"]
     assert main(args + ["--out", out1]) == 0
     assert main(args + ["--out", out2]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
+
+
+def test_generate_writes_rows_as_it_draws_them(tmp_path, capsys):
+    def peak_bytes(n):
+        out = str(tmp_path / f"sea{n}.csv")
+        tracemalloc.start()
+        try:
+            assert main(["generate", "--family", "sea", "--n", str(n), "--out", out]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak_bytes(4_000), peak_bytes(40_000)
+    # holding the 36 000 extra rows would take megabytes
+    assert large - small < 64 * 1024, (small, large)
 
 
 def test_generate_zero_rows_rejected(tmp_path):
@@ -371,7 +409,7 @@ def test_summarize_statistics(tmp_path, capsys):
     assert main(["summarize", str(tmp_path), "--out", out_csv]) == 0
     printed = capsys.readouterr().out
     assert "nb" in printed
-    line = [l for l in open(out_csv).read().splitlines() if l.startswith("nb")][0]
+    line = [l for l in Path(out_csv).read_text().splitlines() if l.startswith("nb")][0]
     _, n, mean, median, lo, hi = line.split(",")
     assert (n, mean, median, lo, hi) == ("3", "0.7000", "0.7000", "0.5000", "0.9000")
 
@@ -388,6 +426,37 @@ def test_summarize_single_trace_mean_equals_median(tmp_path, capsys):
     assert main(["summarize", str(tmp_path)]) == 0
     row = [l for l in capsys.readouterr().out.splitlines() if l.startswith("nb")][0]
     assert row.split()[2] == row.split()[3] == "0.8000"
+
+
+def test_summarize_counts_every_seed_as_a_run(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "nb.cfg", ONLINE_CFG.format(out="nb.json", fmt="json"))
+    finals = []
+    for seed in (1, 2, 3):
+        out = tmp_path / f"seed{seed}"
+        assert main(["run", "--config", cfg, "--out", str(out), "--seed", str(seed)]) == 0
+        finals.append(json.loads((out / "nb.summary.json").read_text())["final_cum_accuracy"])
+    capsys.readouterr()
+    assert main(["summarize", *(str(tmp_path / f"seed{s}") for s in (1, 2, 3))]) == 0
+    row = [l for l in capsys.readouterr().out.splitlines() if l.startswith("naive_bayes")]
+    assert row[0].split()[1:] == ["3", f"{sum(finals) / 3:.4f}", f"{sorted(finals)[1]:.4f}",
+                                  f"{min(finals):.4f}", f"{max(finals):.4f}"]
+
+
+@pytest.mark.parametrize("name, text", [
+    ("trace.csv", "seq,cum_accuracy,window_accuracy,kappa,drift,active_learner\n"
+                  "99,0.5,0.5,0.0,,\n"),
+    ("notes.json", '{"records": [{"cum_accuracy": 0.5}]}\n'),
+    ("list.json", "[]\n"),
+    ("short.json", '{"trace_version": 1, "records": [{"cum_accuracy": 0.5}], "meta": {}}\n'),
+    ("empty.json", '{"trace_version": 1, "records": [], "meta": {}}\n'),
+], ids=["csv_trace", "no_trace_version", "not_an_object", "record_keys_missing", "no_records"])
+def test_summarize_rejects_a_path_that_is_not_a_json_trace(tmp_path, capsys, name, text):
+    write_trace(MetricTrace(records=[TraceRecord(seq=9, cum_accuracy=0.8, window_accuracy=0.8,
+                                                 kappa=0.1)], meta={"learner": "nb"}),
+                str(tmp_path / "ok.json"), "json")
+    (tmp_path / name).write_text(text, encoding="utf-8")
+    assert main(["summarize", str(tmp_path), str(tmp_path / name)]) == 2
+    assert name in capsys.readouterr().err
 
 
 def test_summarize_empty_directory_fails(tmp_path):

@@ -283,3 +283,9 @@ def test_limited_stream_exhausts():
     assert len(list(stream)) == 3
     with pytest.raises(StopIteration):
         next(stream)
+
+
+def test_take_on_a_short_stream_names_the_shortfall():
+    stream = LimitedStream(SeaGenerator(seed=0), 3)
+    with pytest.raises(ValueError, match="ended after 3 of the 5 instances"):
+        stream.take(5)

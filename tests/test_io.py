@@ -3,6 +3,7 @@ import hashlib
 import math
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -227,7 +228,7 @@ def _trace(n=10):
 def test_csv_trace_has_header_plus_row_per_record(tmp_path):
     path = str(tmp_path / "t.csv")
     write_trace(_trace(10), path, "csv")
-    lines = open(path).read().strip().splitlines()
+    lines = Path(path).read_text().strip().splitlines()
     assert len(lines) == 11
     assert lines[0] == "seq,cum_accuracy,window_accuracy,kappa,drift,active_learner"
 
@@ -559,7 +560,7 @@ def test_blank_header_line_is_a_dataset_error(tmp_csv):
 # time; reading them a block at a time must leave every byte as it was.
 
 def _blank_every(path, every):
-    lines = open(path, encoding="utf-8").read().splitlines(keepends=True)
+    lines = Path(path).read_text(encoding="utf-8").splitlines(keepends=True)
     with open(path, "w", encoding="utf-8") as fh:
         for i, line in enumerate(lines):
             fh.write(line)

@@ -316,6 +316,29 @@ def test_hat_learn_step_computes_each_leaf_answer_once():
     assert alternates_met > 0
 
 
+def test_frozen_tree_answers_by_majority_without_naive_bayes():
+    # a predict-only tree computes a leaf's naive-Bayes answer only at a leaf
+    # that answers with it
+    tree = HoeffdingTree(AgrawalGenerator.schema, seed=5, grace_period=50)
+    for inst in LimitedStream(AgrawalGenerator(concept=1, seed=4), 3000):
+        tree.partial_fit(inst)
+    tree.freeze()
+    calls = []
+    leaf_nb = tree._leaf_nb
+    tree._leaf_nb = lambda node, x: calls.append(node) or leaf_nb(node, x)
+    answered_by = {False: 0, True: 0}
+    for inst in LimitedStream(AgrawalGenerator(concept=1, seed=6), 1000):
+        node = tree.root
+        while not node.is_leaf:
+            node = node.children[node.split.branch(inst.x)]
+        by_nb = node.total > 0 and node.nb_correct > node.mc_correct
+        del calls[:]
+        tree.predict(inst.x)
+        assert calls == ([node] if by_nb else []), inst.seq
+        answered_by[by_nb] += 1
+    assert min(answered_by.values()) > 0, answered_by
+
+
 def test_hat_swaps_an_alternate_in_below_the_root():
     hat = HoeffdingAdaptiveTree(AgrawalGenerator.schema, seed=5)
     swaps = []
