@@ -149,17 +149,6 @@ class EDDM:
         return STABLE
 
 
-def adwin_epsilon_cut(n0: int, n1: int, delta: float, n: int) -> float:
-    """Cut threshold for comparing two sub-window means.
-
-    m is the reciprocal-sum mean of the sub-window lengths and the delta is
-    corrected by the current window length n.
-    """
-    m = (n0 * n1) / (n0 + n1)
-    delta_prime = delta / n
-    return math.sqrt(math.log(4.0 / delta_prime) / (2.0 * m))
-
-
 # Rounding allowance of the quiet-period rules, as a share of the window
 # (see Adwin._has_cut).
 _MARGIN = 1e-9

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -109,8 +109,12 @@ class KnnWindow(Learner):
         if k < 1 or window < 1:
             raise ValueError("k and window must be >= 1")
         self.k = k
-        self._store = _NeighbourStore(schema, window)
-        self._stats = [(i, RunningStats()) for i in schema.numeric_indexes()]
+        self._clear(window)
+
+    def _clear(self, capacity: int) -> None:
+        """Forget every sample and the feature statistics; hold up to ``capacity``."""
+        self._store = _NeighbourStore(self.schema, capacity)
+        self._stats = [(i, RunningStats()) for i in self.schema.numeric_indexes()]
 
     @property
     def window(self) -> list[tuple[list[float], int]]:
@@ -127,34 +131,19 @@ class KnnWindow(Learner):
         return self._store.vote(x, std, self.k)
 
 
-class KnnBatch(BatchLearner):
-    """kNN over a frozen training buffer.
-
-    Distances, scaling and tie rules are those of KnnWindow, with each
-    numeric feature scaled by its std over the training buffer and ties
-    between equal distances going to the earlier buffer row.
-    """
+class KnnBatch(BatchLearner, KnnWindow):
+    """kNN over a frozen training buffer: a KnnWindow whose window is the
+    whole buffer, so each numeric feature is scaled by its std over the buffer
+    and ties between equal distances go to the earlier buffer row."""
 
     algorithm = "knn_batch"
 
     def __init__(self, schema, seed: int = 0, default_class=None, k: int = 5):
-        super().__init__(schema, seed, default_class)
         if k < 1:
             raise ValueError("k must be >= 1")
-        self.k = k
-        self._store: Optional[_NeighbourStore] = None
-        self._std: list[float] = []
+        super().__init__(schema, seed, default_class, k=k, window=1)  # _fit sizes it
 
     def _fit(self, buffer: list[Instance], epochs: int) -> None:
-        self._store = _NeighbourStore(self.schema, len(buffer))
+        self._clear(len(buffer))
         for inst in buffer:
-            self._store.append(inst.x, inst.y)
-        self._std = []
-        for i in self.schema.numeric_indexes():
-            st = RunningStats()
-            for inst in buffer:
-                st.add(inst.x[i])
-            self._std.append(_floored(st.std()))
-
-    def _predict(self, x: Sequence[float]) -> int:
-        return self._store.vote(x, self._std, self.k)
+            self._learn(inst)

@@ -11,18 +11,18 @@ from ..core import Instance, OneHotEncoder
 from .base import BatchLearner, Learner, argmax_lowest
 
 
-def _hinge_step(model, v: np.ndarray, margins: np.ndarray, y: int) -> None:
-    """One hinge-loss gradient step on ``model``'s weights and bias."""
-    for c in range(model.n_classes):
-        t = 1.0 if c == y else -1.0
-        if t * margins[c] < 1.0:
-            model.weights[c] += model.lr * t * v
-            model.bias[c] += model.lr * t
+def sigmoid_minus_target(margin: float, target: float) -> float:
+    """The log-loss gradient ``sigmoid(margin) - target`` of one output; a margin
+    outside (-500, 500) takes the sigmoid as exactly 0 or 1 instead of
+    overflowing ``exp``."""
+    p = 1.0 / (1.0 + math.exp(-margin)) if -500 < margin < 500 else float(margin > 0)
+    return p - target
 
 
 class _OvRLinear(Learner):
-    """Shared machinery: per-class weight vector and bias over encoded inputs;
-    subclasses supply ``_update``, the step for one encoded input and its margins."""
+    """Shared machinery: per-class weight vector and bias over encoded inputs,
+    and the one update step. Subclasses supply ``_gain``, class c's step
+    direction for its margin; a zero gain takes no step."""
 
     def __init__(self, schema, seed: int = 0, default_class=None, lr: float = 0.01):
         super().__init__(schema, seed, default_class)
@@ -45,7 +45,19 @@ class _OvRLinear(Learner):
                kept: Optional[tuple[np.ndarray, np.ndarray]] = None) -> None:
         """``kept`` is the encoded ``inst.x`` and its margins from ``_predict``."""
         v, margins = kept if kept is not None else self._encode_margins(inst.x)
-        self._update(v, margins, inst.y)
+        self._step(v, margins, inst.y)
+
+    def _step(self, v: np.ndarray, margins: np.ndarray, y: int) -> None:
+        """One gradient step for the encoded input ``v`` of class ``y``."""
+        for c in range(self.n_classes):
+            g = self._gain(c == y, margins[c])
+            if g:
+                step = self.lr * g
+                self.weights[c] += step * v
+                self.bias[c] += step
+
+    def _gain(self, is_target: bool, margin: float) -> float:
+        raise NotImplementedError
 
 
 class LinearSGD(_OvRLinear):
@@ -53,8 +65,9 @@ class LinearSGD(_OvRLinear):
 
     algorithm = "linear_sgd"
 
-    def _update(self, v: np.ndarray, margins: np.ndarray, y: int) -> None:
-        _hinge_step(self, v, margins, y)
+    def _gain(self, is_target: bool, margin: float) -> float:
+        t = 1.0 if is_target else -1.0
+        return t if t * margin < 1.0 else 0.0
 
 
 class Perceptron(_OvRLinear):
@@ -62,12 +75,9 @@ class Perceptron(_OvRLinear):
 
     algorithm = "perceptron"
 
-    def _update(self, v: np.ndarray, margins: np.ndarray, y: int) -> None:
-        for c in range(self.n_classes):
-            t = 1.0 if c == y else -1.0
-            if t * margins[c] <= 0.0:
-                self.weights[c] += self.lr * t * v
-                self.bias[c] += self.lr * t
+    def _gain(self, is_target: bool, margin: float) -> float:
+        t = 1.0 if is_target else -1.0
+        return t if t * margin <= 0.0 else 0.0
 
 
 class LogisticSGD(_OvRLinear):
@@ -75,27 +85,14 @@ class LogisticSGD(_OvRLinear):
 
     algorithm = "logistic_sgd"
 
-    def _update(self, v: np.ndarray, margins: np.ndarray, y: int) -> None:
-        for c in range(self.n_classes):
-            t = 1.0 if c == y else 0.0
-            m = margins[c]
-            p = 1.0 / (1.0 + math.exp(-m)) if -500 < m < 500 else (0.0 if m < 0 else 1.0)
-            g = p - t
-            self.weights[c] -= self.lr * g * v
-            self.bias[c] -= self.lr * g
+    def _gain(self, is_target: bool, margin: float) -> float:
+        return -sigmoid_minus_target(margin, 1.0 if is_target else 0.0)
 
 
-class LinearSvmBatch(BatchLearner):
-    """Hinge-loss gradient descent over a frozen buffer for a fixed epoch count."""
+class LinearSvmBatch(BatchLearner, LinearSGD):
+    """LinearSGD's hinge step over a frozen buffer, repeated for a fixed epoch count."""
 
     algorithm = "linear_svm_batch"
-
-    def __init__(self, schema, seed: int = 0, default_class=None, lr: float = 0.01):
-        super().__init__(schema, seed, default_class)
-        self.lr = lr
-        self._encode = OneHotEncoder(schema)
-        self.weights = np.zeros((self.n_classes, self._encode.dim))
-        self.bias = np.zeros(self.n_classes)
 
     def _fit(self, buffer: list[Instance], epochs: int) -> None:
         if epochs < 1:
@@ -103,8 +100,4 @@ class LinearSvmBatch(BatchLearner):
         encoded = [(self._encode(inst.x), inst.y) for inst in buffer]
         for _ in range(epochs):
             for v, y in encoded:
-                _hinge_step(self, v, self.weights @ v + self.bias, y)
-
-    def _predict(self, x: Sequence[float]) -> int:
-        v = self._encode(x)
-        return argmax_lowest((self.weights @ v + self.bias).tolist())
+                self._step(v, self.weights @ v + self.bias, y)

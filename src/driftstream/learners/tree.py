@@ -10,7 +10,6 @@ from ..drift import DRIFT, Adwin
 from .base import Learner, argmax_lowest, check_optional_int
 
 _N_THRESHOLDS = 10  # candidate cut points per numeric feature
-_SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
 def hoeffding_bound(value_range: float, delta: float, n: int) -> float:

@@ -11,6 +11,7 @@ import numpy as np
 from .core import FeatureSchema, Instance, RunningStats
 from .learners import Learner
 from .learners.base import ensemble_vote
+from .learners.linear import sigmoid_minus_target
 
 _N_BINS = 10  # equal-width bins when discretizing numerics for entropy/MI
 
@@ -192,10 +193,8 @@ class OnlineSelector:
             self.weights[target] = np.zeros(len(x))
             self.bias[target] = 0.0
         for cls in self.weights:
-            t = 1.0 if cls == target else 0.0
             margin = float(self.weights[cls] @ x) + self.bias[cls]
-            p = 1.0 / (1.0 + math.exp(-margin)) if -500 < margin < 500 else float(margin > 0)
-            g = p - t
+            g = sigmoid_minus_target(margin, 1.0 if cls == target else 0.0)
             self.weights[cls] -= self.lr * g * x
             self.bias[cls] -= self.lr * g
         self.fitted = True

@@ -20,7 +20,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import CATEGORICAL, Feature, FeatureSchema, Instance
@@ -441,22 +441,40 @@ def read_trace(path: str) -> MetricTrace:
             meta = payload["meta"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"{path}: not a trace: {exc!r}") from None
-        if not records:
-            raise ValueError(f"{path}: the trace has no records")
-        return MetricTrace(records=records, meta=meta)
+    else:
+        records, meta = _read_csv_trace(path), {}
+    if not records:
+        raise ValueError(f"{path}: the trace has no records")
+    return MetricTrace(records=records, meta=meta)
+
+
+def _read_csv_trace(path: str) -> list[TraceRecord]:
+    """The records of a CSV trace; a faulty row is a ValueError naming it
+    (data rows count from 1)."""
+    width = len(TRACE_COLUMNS)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise ValueError(f"{path}: header line: {exc}") from None
+        if header is None:
+            raise ValueError(f"{path}: empty file")
         if tuple(header) != TRACE_COLUMNS:
             raise ValueError(f"{path}: unexpected trace header {header}")
         records = []
-        for row in reader:
-            records.append(TraceRecord(
-                seq=int(row[0]),
-                cum_accuracy=float(row[1]),
-                window_accuracy=float(row[2]),
-                kappa=float(row[3]),
-                drift_events=_decode_events(row[4]),
-                active_learner=None if row[5] == "" else int(row[5]),
-            ))
-    return MetricTrace(records=records, meta={})
+        for rowno, row in enumerate(chain.from_iterable(_blocks(reader, path)), 1):
+            if len(row) != width:
+                raise _width_error(path, rowno, row, width)
+            try:
+                records.append(TraceRecord(
+                    seq=int(row[0]),
+                    cum_accuracy=float(row[1]),
+                    window_accuracy=float(row[2]),
+                    kappa=float(row[3]),
+                    drift_events=_decode_events(row[4]),
+                    active_learner=None if row[5] == "" else int(row[5]),
+                ))
+            except ValueError as exc:
+                raise ValueError(f"{path}: row {rowno}: {exc}") from None
+    return records

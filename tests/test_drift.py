@@ -10,7 +10,6 @@ from driftstream.drift import (
     EDDM,
     Adwin,
     PageHinkley,
-    adwin_epsilon_cut,
     make_detector,
 )
 
@@ -162,13 +161,6 @@ def test_eddm_reset_equals_fresh_detector():
 
 
 # -- ADWIN ----------------------------------------------------------------------------
-
-def test_adwin_epsilon_cut_closed_form():
-    # n0 = n1 = 100, delta 0.002, n = 200  ->  sqrt(ln(4*200/0.002)/100)
-    expected = math.sqrt(math.log(4 * 200 / 0.002) / 100)
-    assert adwin_epsilon_cut(100, 100, 0.002, 200) == pytest.approx(expected, rel=1e-12)
-    assert expected == pytest.approx(0.359, abs=1e-3)
-
 
 def test_adwin_constant_stream_never_cuts():
     a = Adwin(delta=0.002)

@@ -272,6 +272,27 @@ def test_json_round_trip_keeps_meta(tmp_path):
     assert back.records[4].drift_events == [(403, "adwin", "drift")]
 
 
+_TRACE_HEADER = "seq,cum_accuracy,window_accuracy,kappa,drift,active_learner\n"
+
+
+@pytest.mark.parametrize("body,message", [
+    ("", "empty file"),
+    (_TRACE_HEADER, "the trace has no records"),
+    (_TRACE_HEADER + "100,0.5,0.5,0.0,,\n200,0.5,0.5\n", "row 2 has 3 fields, header has 6"),
+    (_TRACE_HEADER + "100,0.5,half,0.0,,\n", "row 1: could not convert string to float"),
+    (_TRACE_HEADER + "100,0.5,0.5,0.0,103-adwin,\n", "row 1: not enough values to unpack"),
+    (_TRACE_HEADER + "100,0.5,0.5,0.0,,\n200," + "9" * 140_000 + ",0.5,0.0,,\n",
+     "row 2: field larger than field limit"),
+])
+def test_malformed_csv_trace_names_path_and_row(tmp_path, body, message):
+    path = tmp_path / "t.csv"
+    path.write_text(body, encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_trace(str(path))
+    assert str(err.value).startswith(f"{path}: ")
+    assert message in str(err.value)
+
+
 def test_empty_trace_rejected(tmp_path):
     with pytest.raises(ValueError):
         write_trace(MetricTrace(), str(tmp_path / "x.csv"), "csv")

@@ -1,7 +1,9 @@
+import hashlib
 import math
 import random
 from collections import deque
 
+import numpy as np
 import pytest
 
 from driftstream.core import CATEGORICAL, Feature, FeatureSchema, Instance, RunningStats
@@ -27,7 +29,13 @@ from driftstream.learners import (
     poisson,
     train_batch,
 )
-from driftstream.generators import AgrawalGenerator, DriftStream, LimitedStream, StaggerGenerator
+from driftstream.generators import (
+    AgrawalGenerator,
+    DriftStream,
+    LedGenerator,
+    LimitedStream,
+    StaggerGenerator,
+)
 from driftstream.learners.ensembles import LeveragingBagging, OzaBagging, OzaBaggingAdwin
 from driftstream.learners.tree import HoeffdingTree
 
@@ -426,6 +434,84 @@ def test_train_batch_empty_buffer():
 def test_train_batch_rejects_incremental_learner():
     with pytest.raises(TypeError):
         train_batch(MajorityClass(NUM1), [inst([0.0], 0)])
+
+
+# -- bit-exact pins --------------------------------------------------------------
+#
+# sha256 of each linear model's weight and bias bytes and of its predictions,
+# and of knn_batch predictions, on seeded Agrawal (one-hot categoricals) and
+# LED (10 classes). The digests depend on numpy's float arithmetic; they pin
+# that a change to how the models are written keeps every bit.
+
+def _pin_stream(family):
+    gen = AgrawalGenerator(concept=2, seed=11) if family == "agrawal" else \
+        LedGenerator(seed=12)
+    return gen.schema, gen.take(400), [b.x for b in gen.take(150)]
+
+
+def _digest(*parts):
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part.tobytes() if isinstance(part, np.ndarray) else repr(part).encode())
+    return h.hexdigest()
+
+
+_LINEAR_PINS = {
+    ("linear_sgd", "agrawal"):
+        "4c3ef610318db13e3d40df3685a1b9499da4d45c00c2b4d23aa119f31ab3905c",
+    ("linear_sgd", "led"):
+        "d1856653f7c0440893056e35ab6d077e53af12c2e1d559f859e2873f8f6331b2",
+    ("perceptron", "agrawal"):
+        "4c3ef610318db13e3d40df3685a1b9499da4d45c00c2b4d23aa119f31ab3905c",
+    ("perceptron", "led"):
+        "719bed5398b8b391a073a8f56be7ec6564675b0c3e7f47e6557438e7d1a2d483",
+    ("logistic_sgd", "agrawal"):
+        "2fb2597e0f251b17a75b074475abd7257075deb374047a9e930c491285920dde",
+    ("logistic_sgd", "led"):
+        "24e8aac081b6fcf1150ad700b1bd819bedcaff378750d0dfad9016582a5a5462",
+    ("linear_svm_batch", "agrawal"):
+        "8afd9b48be726798de8d1cd6fc07ba9c368f5476d56969d4df0f2763e16ff3e5",
+    ("linear_svm_batch", "led"):
+        "651282e45fe10c14268a7ca6e16dbe82f6d4a8f291ccfb24c95a8b49356d1d24",
+}
+
+
+@pytest.mark.parametrize("algorithm,family", sorted(_LINEAR_PINS))
+def test_linear_weights_and_predictions_are_pinned(algorithm, family):
+    schema, train, probes = _pin_stream(family)
+    lin = make_learner(algorithm, schema, lr=0.05)
+    preds = []
+    if algorithm == "linear_svm_batch":
+        train_batch(lin, train, epochs=3)
+    else:
+        for b in train:  # prequential: predict, then learn from the same x
+            preds.append(lin.predict(b.x) if lin.fitted else None)
+            lin.partial_fit(b)
+    preds += [lin.predict(x) for x in probes]
+    assert _digest(lin.weights, lin.bias, preds) == _LINEAR_PINS[algorithm, family]
+
+
+_KNN_BATCH_PINS = {
+    (1, "agrawal"): "397a1f60a2cbcf3f5e573f1582277cfe4435501f85c7faccf9e5f80007b9bf0d",
+    (1, "led"): "b0a0dfedb207564db88c736fdcb448848afe02d3afc9e59749c721e5a9405366",
+    (5, "agrawal"): "3cd63395ae46c0e7c2ef8d50a849a411ff25ad82fb53e398546593771f90ea4e",
+    (5, "led"): "be15c4faf85aab89c9023d8c6a0f6ce37b720a49e65d345ab9c835d092acb130",
+}
+
+
+@pytest.mark.parametrize("k,family", sorted(_KNN_BATCH_PINS))
+def test_knn_batch_predictions_are_pinned(k, family):
+    schema, train, probes = _pin_stream(family)
+    knn = train_batch(KnnBatch(schema, k=k), train)
+    assert _digest([knn.predict(x) for x in probes]) == _KNN_BATCH_PINS[k, family]
+
+
+def test_knn_batch_refit_predicts_like_a_fresh_fit():
+    schema, train, probes = _pin_stream("agrawal")
+    refit = train_batch(KnnBatch(schema, k=3), train)
+    refit.fit(train[250:])
+    fresh = train_batch(KnnBatch(schema, k=3), train[250:])
+    assert [refit.predict(x) for x in probes] == [fresh.predict(x) for x in probes]
 
 
 # -- voting / poisson ----------------------------------------------------------------
