@@ -19,6 +19,11 @@ WARNING = PredictorStatus.WARNING
 DRIFT = PredictorStatus.DRIFT
 
 
+def _check_at_least_one(name: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+
+
 class PageHinkley:
     """Page-Hinkley test on a real-valued stream.
 
@@ -30,6 +35,11 @@ class PageHinkley:
 
     def __init__(self, delta: float = 0.005, threshold: float = 50.0,
                  min_instances: int = 30):
+        if not 0.0 <= delta < math.inf:
+            raise ValueError("delta must be finite and >= 0")
+        if not threshold > 0.0:
+            raise ValueError("threshold must be > 0")
+        _check_at_least_one("min_instances", min_instances)
         self.delta = delta
         self.threshold = threshold
         self.min_instances = min_instances
@@ -67,6 +77,9 @@ class DDM:
 
     def __init__(self, warning_level: float = 2.0, drift_level: float = 3.0,
                  min_instances: int = 30):
+        if not 0.0 < warning_level <= drift_level:
+            raise ValueError("warning_level must be > 0 and drift_level >= warning_level")
+        _check_at_least_one("min_instances", min_instances)
         self.warning_level = warning_level
         self.drift_level = drift_level
         self.min_instances = min_instances
@@ -110,6 +123,9 @@ class EDDM:
 
     def __init__(self, alpha: float = 0.95, beta: float = 0.90,
                  min_errors: int = 30):
+        if not 0.0 <= beta <= alpha <= 1.0:
+            raise ValueError("beta must be >= 0 and alpha in [beta, 1]")
+        _check_at_least_one("min_errors", min_errors)
         self.alpha = alpha
         self.beta = beta
         self.min_errors = min_errors
@@ -149,8 +165,8 @@ class EDDM:
         return STABLE
 
 
-# Rounding allowance of the quiet-period rules, as a share of the window
-# (see Adwin._has_cut).
+# Rounding allowance of the quiet-period rules: as a share of the window in
+# their margin, and as is on the window mean (see Adwin._has_cut).
 _MARGIN = 1e-9
 
 
@@ -176,8 +192,7 @@ class Adwin:
             raise ValueError("delta must be in (0, 1]")
         for name, value in (("max_buckets", max_buckets), ("min_window", min_window),
                             ("min_side", min_side)):
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1")
+            _check_at_least_one(name, value)
         self.delta = delta
         self.max_buckets = max_buckets
         self.min_window = min_window
@@ -199,26 +214,24 @@ class Adwin:
     def update(self, x: float) -> PredictorStatus:
         if not 0.0 <= x <= 1.0:
             raise ValueError(f"adwin input must be in [0, 1], got {x!r}")
-        self._insert(x)
+        levels = self._levels
+        buckets = levels[0]
+        buckets.append(x)
+        self.width += 1
+        self.total += x
+        level = 0
+        while len(buckets) > self.max_buckets:
+            if level + 1 == len(levels):
+                levels.append(deque())
+            levels[level + 1].append(buckets.popleft() + buckets.popleft())
+            level += 1
+            buckets = levels[level]
         if self._quiet:
             self._quiet -= 1
             return STABLE
         if self.width < self.min_window:
             return STABLE
         return DRIFT if self._shrink() else STABLE
-
-    def _insert(self, x: float) -> None:
-        levels = self._levels
-        levels[0].append(x)
-        self.width += 1
-        self.total += x
-        level = 0
-        while len(levels[level]) > self.max_buckets:
-            if level + 1 == len(levels):
-                levels.append(deque())
-            buckets = levels[level]
-            levels[level + 1].append(buckets.popleft() + buckets.popleft())
-            level += 1
 
     def _drop_oldest(self) -> None:
         for level in range(len(self._levels) - 1, -1, -1):
@@ -234,44 +247,64 @@ class Adwin:
 
         When none does, ``_quiet`` becomes a count k of inserts after which
         no boundary can have reached the bound. Take a boundary with n0 older
-        items (prefix sum s0) and n1 newer ones, and let D = s0 - n0*s/w,
-        which is diff*n0*n1/w. The test below is then D^2 >= T^2 with
-        T^2 = log_term*n0*n1/(2w). Inserts and merges keep each surviving
+        items (prefix sum s0) and n1 newer ones (sum s1), let p = s/w be the
+        window mean and D = s0 - n0*p = n1*p - s1, which is diff*n0*n1/w. The
+        exact test below is then D^2 >= T^2 with T^2 = log_term*n0*n1/(2w).
+        Since s1 is in [0, n1], D is in [-n1*(1 - p), n1*p], so
+        |D| <= n1*max(p, 1 - p). Inserts and merges keep each surviving
         boundary's n0 and s0 (merges only remove boundaries); one insert of x
-        in [0, 1] moves D by n0*(s - w*x)/(w*(w + 1)), less than n0/w; and T
-        never falls, since n1/w and log_term only grow. So:
+        in [0, 1] into a window of w' items with mean p' moves D by
+        n0*(p' - x)/(w' + 1), whose size is below n0*max(p', 1 - p')/w; and T
+        never falls, since n1/w and log_term only grow. The quiet period
+        below is c < log_term/(2*q^2) <= 2*log_term inserts long, so over it
+        the mean moves by less than 2*log_term/w, and
+        q = min(1, max(p, 1 - p) + 2*log_term/w + rho) bounds max(p', 1 - p')
+        throughout it (rho = 1e-9 covers the rounding of the computed p). So:
 
-        - slack rule: a boundary with |D| + k*n0/w < T stays uncut for k
+        - slack rule: a boundary with |D| + k*n0*q/w < T stays uncut for k
           inserts;
-        - structural rule: |D| <= n0*n1/w <= n1, so no boundary with n1 <= c
-          can cut, where c is the largest integer below
-          log_term*w/(2w + log_term), and c only grows. That covers the
-          boundaries the next k <= c inserts make, and those with
-          n1 + k <= c now.
+        - structural rule: |D| <= n1*q, so no boundary with n1 <= c can cut,
+          where c is the largest integer below log_term*w/(2w*q^2 + log_term),
+          and c only grows. That covers the boundaries the next k <= c
+          inserts make, and those with n1 + k <= c now.
 
         k starts at c and falls until every other boundary with
         n0 >= min_side passes the slack rule, including those whose newer
         side is still below ``min_side``.
 
+        Before the exact test, each boundary takes a pre-test free of
+        divisions: with k the count so far, (|s0 - n0*p| + k*n0*q/w + 2*eta)^2
+        < T^2 skips the boundary. That is the slack rule (with k = 0, the
+        test for a cut now) multiplied through by n0*n1/w: one eta is the
+        rule's own margin, the other covers the rounding of both evaluations.
+        So a skipped boundary is one the exact code would also pass over, and
+        the pre-test changes no decision and no ``_quiet``.
+
         The proof holds for exact sums; the scan reads float ones. Every sum
-        here (``total``, a bucket sum, s0) is at most w' <= w + log_term, the
-        largest window the quiet period reaches, and each addition that
+        here (``total``, a bucket sum, s0) is at most w' <= w + 2*log_term,
+        the largest window the quiet period reaches, and each addition that
         builds it rounds by at most 2^-53 * w'. So both rules keep a margin
-        eta = 1e-9 * w' in D (in c, through |D| <= n1*(1 + eta) for
-        n1 >= 1). It exceeds the rounding of 9 * 10^6 such additions, where a
-        scan's prefix sum makes one per bucket and the k inserts one each in
-        ``total``; the drift of ``total`` over a whole run, a random walk of
-        such roundings, would take some 10^14 updates to reach it. The margin
-        also covers the rounding in evaluating the rules. With 0/1 inputs
-        every sum is an exact integer.
+        eta = 1e-9 * w' in D (in c, through |D| <= n1*q*(1 + eta), which is
+        at least n1*q + eta/2 for n1 >= 1 and q >= 1/2). Even eta/2 exceeds
+        the rounding of 4 * 10^6 such additions, where a scan's prefix sum
+        makes one per bucket and the k inserts one each in ``total``; the
+        drift of ``total`` over a whole run, a random walk of such roundings,
+        would take some 10^13 updates to reach it. The margin also covers the
+        rounding in evaluating the rules. With 0/1 inputs every sum is an
+        exact integer.
         """
         w, s, min_side = self.width, self.total, self.min_side
+        p = s / w
         log_term = math.log(4.0 * w / self.delta)
         log_w = log_term * w
-        eta = _MARGIN * (w + log_term)
+        q = min(1.0, max(p, 1.0 - p) + 2.0 * log_term / w + _MARGIN)
+        eta = _MARGIN * (w + 2.0 * log_term)
         eta_w = eta * w
-        c = math.ceil(log_w / (2.0 * w * (1.0 + eta) ** 2 + log_term)) - 1
+        eta2 = 2.0 * eta
+        half_t2 = log_term / (2.0 * w)  # T^2 = half_t2 * n0 * n1
+        c = math.ceil(log_w / (2.0 * w * (q * (1.0 + eta)) ** 2 + log_term)) - 1
         quiet = c
+        slope = quiet * q / w  # D moves by less than n0 * slope in the quiet period
         n0, s0 = 0, 0.0
         size = 1 << len(self._levels)
         for buckets in reversed(self._levels):
@@ -287,17 +320,21 @@ class Adwin:
                     return False
                 if n0 < min_side:
                     continue
+                pre = abs(s0 - n0 * p) + n0 * slope + eta2
+                if pre * pre < half_t2 * n0 * n1:
+                    continue
                 diff = s0 / n0 - (s - s0) / n1
                 # compare squared means against eps_cut^2 = log_term/(2m)
                 bound = log_w / (2.0 * n0 * n1)
                 if quiet and n1 + quiet > c:
                     # the slack rule divided by n0*n1/w, which also rules
-                    # out a cut now: |diff| + (k + eta*w/n0)/n1 < eps_cut
-                    gap = abs(diff) + (quiet + eta_w / n0) / n1
+                    # out a cut now: |diff| + (k*q + eta*w/n0)/n1 < eps_cut
+                    gap = abs(diff) + (quiet * q + eta_w / n0) / n1
                     if gap * gap < bound:
                         continue
-                    room = (math.sqrt(bound) - abs(diff)) * n1 - eta_w / n0
+                    room = ((math.sqrt(bound) - abs(diff)) * n1 - eta_w / n0) / q
                     quiet = max(0, c - n1, math.ceil(room) - 1)
+                    slope = quiet * q / w
                 if n1 >= min_side and diff * diff >= bound:
                     return True
         raise AssertionError(

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
-from .core import ConfusionMatrix, Instance, PredictorStatus
+from .core import ConfusionMatrix
 from .generators import InstanceStream
 from .learners import Learner
 
@@ -64,14 +64,6 @@ class _Scorer:
         )
 
 
-def _instances(source: InstanceStream) -> Iterator[Instance]:
-    """The source's instances, all labeled."""
-    for inst in source:
-        if inst.y is None:
-            raise ValueError(f"unlabeled sample at seq {inst.seq}")
-        yield inst
-
-
 def _test_then_train(source: InstanceStream, learner: Learner, report_every: int,
                      window: int, learn: bool,
                      pretrain: int = 0, detectors: Optional[dict] = None) -> list[TraceRecord]:
@@ -98,20 +90,27 @@ def _test_then_train(source: InstanceStream, learner: Learner, report_every: int
     reporter = learner if learn else None
     last_record_at = 0
     records: list[TraceRecord] = []
+    predict, score = learner.predict, scorer.score
+    events = scorer.pending_events  # scorer.record swaps it for a fresh list
 
-    for consumed, inst in enumerate(_instances(source), start=1):
+    for consumed, inst in enumerate(source, start=1):
+        if inst.y is None:
+            raise ValueError(f"unlabeled sample at seq {inst.seq}")
         if not learn or (consumed > pretrain and learner.fitted):
-            correct = scorer.score(inst.y, learner.predict(inst.x))
-            for name, update, on_correct in monitors:
-                status = update(float(correct) if on_correct else 1.0 - correct)
-                if status != PredictorStatus.STABLE:
-                    scorer.pending_events.append((inst.seq, name, status.name.lower()))
+            correct = score(inst.y, predict(inst.x))
+            if monitors:
+                hit, miss = float(correct), 1.0 - correct
+                for name, update, on_correct in monitors:
+                    status = update(hit if on_correct else miss)
+                    if status:  # STABLE is 0
+                        events.append((inst.seq, name, status.name.lower()))
         if learn:
             learner.partial_fit(inst)
             for detector_id, status in learner.drain_events():
-                scorer.pending_events.append((inst.seq, detector_id, status))
+                events.append((inst.seq, detector_id, status))
         if scorer.scored - last_record_at >= report_every:
             records.append(scorer.record(inst.seq, getattr(reporter, "active_index", None)))
+            events = scorer.pending_events
             last_record_at = scorer.scored
 
     if scorer.scored == 0:
@@ -156,7 +155,9 @@ def run_holdout(source: InstanceStream, learner: Learner,
     trained_seqs: list[int] = []
     pos = 0  # instances consumed in the current cycle
 
-    for inst in _instances(source):
+    for inst in source:
+        if inst.y is None:
+            raise ValueError(f"unlabeled sample at seq {inst.seq}")
         if pos < train_per_cycle:
             learner.partial_fit(inst)
             if audit:

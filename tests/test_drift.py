@@ -240,6 +240,23 @@ def test_adwin_rejects_bad_parameters(kwargs):
         Adwin(**kwargs)
 
 
+@pytest.mark.parametrize("cls, kwargs", [
+    (PageHinkley, {"threshold": -1.0}), (PageHinkley, {"threshold": 0.0}),
+    (PageHinkley, {"threshold": math.nan}), (PageHinkley, {"delta": -0.1}),
+    (PageHinkley, {"delta": math.inf}), (PageHinkley, {"min_instances": -5}),
+    (DDM, {"warning_level": 3.0, "drift_level": 2.0}), (DDM, {"warning_level": 0.0}),
+    (DDM, {"drift_level": math.nan}), (DDM, {"min_instances": 0}),
+    (EDDM, {"alpha": 0.90, "beta": 0.95}), (EDDM, {"alpha": 1.5}),
+    (EDDM, {"beta": -0.1}), (EDDM, {"min_errors": 0}),
+], ids=["ph.threshold=-1", "ph.threshold=0", "ph.threshold=nan", "ph.delta=-0.1",
+        "ph.delta=inf", "ph.min_instances=-5", "ddm.warning_above_drift",
+        "ddm.warning_level=0", "ddm.drift_level=nan", "ddm.min_instances=0",
+        "eddm.beta_above_alpha", "eddm.alpha=1.5", "eddm.beta=-0.1", "eddm.min_errors=0"])
+def test_error_rate_detectors_reject_bad_parameters(cls, kwargs):
+    with pytest.raises(ValueError, match="must be"):
+        cls(**kwargs)
+
+
 def test_make_detector_registry():
     assert isinstance(make_detector("page_hinkley"), PageHinkley)
     assert isinstance(make_detector("adwin", delta=0.01), Adwin)
@@ -367,6 +384,23 @@ def _stream(kind, rng, n):
         return values[:n]
     if kind == "constant":
         return [rng.choice([0.0, -0.0, 1.0, 0.5, rng.random()])] * n
+    if kind == "near_half":
+        # window means near 0.5, where the quiet period's mean bound q is smallest
+        values = []
+        while len(values) < n:
+            p, spread = rng.uniform(0.4, 0.6), rng.uniform(0.0, 0.5)
+            values += [float(rng.random() < p) if spread < 0.1
+                       else rng.uniform(0.5 - spread, 0.5 + spread)
+                       for _ in range(rng.randrange(100, 1500))]
+        return values[:n]
+    if kind == "stationary_step":
+        # a long stationary run, so long quiet periods, that ends in a step
+        run = rng.randrange(n // 2, n - 100)
+        p, q = rng.random(), rng.random()
+        if rng.random() < 0.5:
+            return [float(rng.random() < (p if i < run else q)) for i in range(n)]
+        lo, hi = (0.0, 2.0 * p) if p < 0.5 else (2.0 * p - 1.0, 1.0)  # mean p
+        return [rng.uniform(lo, hi) if i < run else rng.uniform(0.5 * q, q) for i in range(n)]
     # signed zeros and ones, with a step in the share of ones
     p = rng.random()
     q = rng.random()
@@ -374,7 +408,8 @@ def _stream(kind, rng, n):
             for i in range(n)]
 
 
-@pytest.mark.parametrize("kind", ["bernoulli", "real_ramps", "constant", "signed_zeros"])
+@pytest.mark.parametrize("kind", ["bernoulli", "real_ramps", "constant", "signed_zeros",
+                                  "near_half", "stationary_step"])
 def test_adwin_quiet_period_matches_scan_after_every_insert(kind):
     rng = random.Random(f"adwin-quiet-{kind}")
     for _ in range(8):
@@ -404,3 +439,76 @@ def test_adwin_scans_at_most_a_third_of_stationary_updates():
         a.update(x)
     assert a.n_detections == 0
     assert len(scans) <= 10000 // 3
+
+
+def scan_without_pretest(self) -> bool:
+    """``Adwin._has_cut`` without its division-free pre-test."""
+    w, s, min_side = self.width, self.total, self.min_side
+    log_term = math.log(4.0 * w / self.delta)
+    log_w = log_term * w
+    q = min(1.0, max(s / w, 1.0 - s / w) + 2.0 * log_term / w + 1e-9)
+    eta = 1e-9 * (w + 2.0 * log_term)
+    eta_w = eta * w
+    c = math.ceil(log_w / (2.0 * w * (q * (1.0 + eta)) ** 2 + log_term)) - 1
+    quiet = c
+    n0, s0 = 0, 0.0
+    size = 1 << len(self._levels)
+    for buckets in reversed(self._levels):
+        size >>= 1
+        for bucket_sum in buckets:
+            n0 += size
+            s0 += bucket_sum
+            n1 = w - n0
+            if n1 < min_side and (not quiet or n1 + quiet <= c):
+                self._quiet = quiet
+                return False
+            if n0 < min_side:
+                continue
+            diff = s0 / n0 - (s - s0) / n1
+            bound = log_w / (2.0 * n0 * n1)
+            if quiet and n1 + quiet > c:
+                gap = abs(diff) + (quiet * q + eta_w / n0) / n1
+                if gap * gap < bound:
+                    continue
+                room = ((math.sqrt(bound) - abs(diff)) * n1 - eta_w / n0) / q
+                quiet = max(0, c - n1, math.ceil(room) - 1)
+            if n1 >= min_side and diff * diff >= bound:
+                return True
+    raise AssertionError("the scan reached no return")
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "real_ramps", "near_half", "stationary_step"])
+def test_adwin_pretest_only_skips_boundaries_the_scan_passes_over(kind):
+    # every scan decides the same and sets the same quiet count with and
+    # without the pre-test, so the pre-test is a pure shortcut
+    rng = random.Random(f"adwin-pretest-{kind}")
+    for _ in range(6):
+        a = Adwin(**_random_kwargs(rng))
+        scans = [0]
+
+        def both(scan=a._has_cut, a=a):
+            scans[0] += 1
+            quiet = a._quiet
+            want = (scan_without_pretest(a), a._quiet)
+            a._quiet = quiet
+            assert (scan(), a._quiet) == want
+            return want[0]
+
+        a._has_cut = both
+        for x in _stream(kind, rng, 2500):
+            a.update(x)
+        assert scans[0] > 0
+
+
+@pytest.mark.parametrize("p, most", [(0.5, 10000 // 12), (0.2, 10000 // 6)])
+def test_adwin_quiet_period_uses_the_window_mean(p, most):
+    # the mean-aware bounds lengthen the quiet period most where the mean is
+    # near 0.5 (a scan after every insert would make 9991 here)
+    a = Adwin()
+    scans = []
+    scan = a._has_cut
+    a._has_cut = lambda: scans.append(a.width) or scan()
+    for x in bernoulli_steps([(10000, p)], seed=21):
+        a.update(x)
+    assert a.n_detections == 0
+    assert len(scans) <= most

@@ -642,3 +642,36 @@ output.path = g.csv
     if experiment == "cash_pretrained":
         assert "naive_bayes" in (tmp_path / "g.leaderboard.json").read_text()
     assert hashlib.sha256((tmp_path / "g.csv").read_bytes()).hexdigest() == digest
+
+
+# Online runs on a generator source, with all four detectors: the ADWIN paths
+# inside the adaptive tree and the ADWIN bagging members, which no CSV golden
+# run above reaches. Recorded before ADWIN's mean-aware quiet period.
+_ADWIN_GOLDEN = {
+    "hoeffding_adaptive_tree": (3000, "a058ab14beacbbf790402372cc08d02550b7064d59cc6b5c53b1c527587e1917"),
+    "oza_bagging_adwin": (3000, "9d39776cfcfea12eb018fbcf0ee1c08e3bb786fe441ccd4ff578ae7703265632"),
+    "leveraging_bagging": (1000, "c425f06d689d2cd8e9fa33c19c854f6e0571f7efb85ea89ce76bd64099380b6c"),
+}
+
+
+@pytest.mark.parametrize("learner", sorted(_ADWIN_GOLDEN))
+def test_generator_source_adwin_traces_are_unchanged(tmp_path, learner):
+    n, digest = _ADWIN_GOLDEN[learner]
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text(f"""
+experiment = online
+seed = 7
+source.kind = generator
+source.family = sea
+source.concept = 0
+source.noise = 0.1
+source.n = {n}
+source.drift.concept = 3
+source.drift.position = {n // 2}
+learner.algorithm = {learner}
+eval.detectors = page_hinkley,ddm,eddm,adwin
+eval.report_every = 50
+output.path = g.csv
+""", encoding="utf-8")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "g.csv").read_bytes()).hexdigest() == digest
