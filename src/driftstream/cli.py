@@ -3,15 +3,12 @@
 from __future__ import annotations
 
 import argparse
-import collections.abc
 import inspect
 import json
 import os
 import statistics
 import sys
 import time
-import typing
-from concurrent.futures import ProcessPoolExecutor
 
 from .cash import AlgorithmGrid, ConfigSpace, cash_search, grid_expand
 from .config import Config, ConfigError, auto_value, parse_config_file
@@ -22,6 +19,7 @@ from .generators import GENERATOR_FAMILIES, DriftStream, LimitedStream, make_gen
 from .learners import BATCH_ALGORITHMS, LEARNER_REGISTRY, make_learner, train_batch
 from .meta import MetaEnsemble
 from .stream_io import (
+    TRACE_FORMATS,
     DatasetError,
     infer_schema,
     read_dataset,
@@ -32,7 +30,6 @@ from .stream_io import (
 )
 
 DEFAULT_FORMAT = "csv"
-_CONCEPT_FAMILIES = ("agrawal", "stagger", "sea")
 
 
 # ---------------------------------------------------------------------------
@@ -40,52 +37,40 @@ _CONCEPT_FAMILIES = ("agrawal", "stagger", "sea")
 
 def _constructor_params(cls) -> dict:
     """The defaulted parameters of ``cls``'s constructor with their defaults,
-    except ``schema`` and ``seed``, which the runner supplies, and those that
-    take a callable (``member_factory``), which no flat value can give."""
+    except ``schema`` and ``seed``, which the runner supplies."""
     return {
         name: param.default
-        for name, param in inspect.signature(cls, eval_str=True).parameters.items()
+        for name, param in inspect.signature(cls).parameters.items()
         if param.default is not param.empty and name not in ("schema", "seed")
-        and not _takes_callable(param.annotation)
     }
-
-
-def _takes_callable(hint) -> bool:
-    options = typing.get_args(hint) if typing.get_origin(hint) is typing.Union else (hint,)
-    return any(typing.get_origin(h) is collections.abc.Callable for h in options)
-
-
-def _source_params(cls) -> dict:
-    """The generator parameters a ``source.*`` key can set: those not
-    defaulting to None, which take objects a flat value cannot give."""
-    return {k: v for k, v in _constructor_params(cls).items() if v is not None}
 
 
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
 
-def _check_type(key: str, value, default) -> None:
-    """Reject a value whose type is not its constructor default's: an int may
-    stand for a float, a bool for no number, and a None default takes any."""
-    if default is None or (type(default) is float and type(value) is int):
-        return
-    if type(value) is not type(default):
-        raise ConfigError(f"{key}: expected {_TYPE_NAMES[type(default)]}, got {value!r}")
+def _read_params(cls, owner: str, prefix: str, tokens: dict) -> dict:
+    """Type ``tokens``, each constructor parameter name of ``cls`` to its raw
+    values (one, or a search grid's), as the parameter's default is typed: an
+    int may stand for a float, a bool for no number, and a None default takes
+    any value. An error names the key ``prefix`` + name and ``cls`` as ``owner``."""
+    known = _constructor_params(cls)
+    typed = {}
+    for name, raws in tokens.items():
+        if name not in known:
+            raise ConfigError(f"{prefix}{name}: {owner} has no parameter {name!r} "
+                              f"(it takes {', '.join(known) or 'none'})")
+        want = type(known[name])
+        typed[name] = [auto_value(raw) for raw in raws]
+        for value in typed[name]:
+            if want not in (type(None), type(value)) and (want, type(value)) != (float, int):
+                raise ConfigError(f"{prefix}{name}: expected {_TYPE_NAMES[want]}, got {value!r}")
+    return typed
 
 
-def _check_params(prefix: str, algorithm: str, params: dict) -> None:
-    """Reject an unknown algorithm, a parameter its constructor lacks or a
-    value of the wrong type. ``params`` maps each name to its values: one,
-    or a search grid's."""
+def _learner_class(algorithm: str):
     if algorithm not in LEARNER_REGISTRY:
         raise ConfigError(f"unknown algorithm {algorithm!r}")
-    known = _constructor_params(LEARNER_REGISTRY[algorithm])
-    for name, values in params.items():
-        if name not in known:
-            raise ConfigError(f"{prefix}.{name}: {algorithm} has no parameter {name!r} "
-                              f"(it takes {', '.join(known) or 'none'})")
-        for value in values:
-            _check_type(f"{prefix}.{name}", value, known[name])
+    return LEARNER_REGISTRY[algorithm]
 
 
 def _construct(what: str, factory, *args, **kwargs):
@@ -106,7 +91,7 @@ def _construct(what: str, factory, *args, **kwargs):
 def _add_drift(base, family: str, params: dict, concept: int, position: int,
                width: int, seed: int) -> DriftStream:
     """``base`` switching to ``concept`` of the same family around ``position``."""
-    if family not in _CONCEPT_FAMILIES:
+    if "concept" not in _constructor_params(GENERATOR_FAMILIES[family]):
         raise ConfigError(f"family {family!r} has no concept switch")
     post = make_generator(family, seed=derive_seed(seed, "generator.post"),
                           **dict(params, concept=concept))
@@ -116,12 +101,10 @@ def _add_drift(base, family: str, params: dict, concept: int, position: int,
 
 def _build_generator(cfg: Config, seed: int):
     family = cfg.get_str("source.family", required=True, choices=tuple(GENERATOR_FAMILIES))
-    params = {}
-    for key, default in _source_params(GENERATOR_FAMILIES[family]).items():
-        raw = cfg.get_str(f"source.{key}")
-        if raw is not None:
-            params[key] = auto_value(raw)
-            _check_type(f"source.{key}", params[key], default)
+    cls = GENERATOR_FAMILIES[family]
+    raws = {key: cfg.get_str(f"source.{key}") for key in _constructor_params(cls)}
+    params = {key: values[0] for key, values in _read_params(
+        cls, family, "source.", {k: [v] for k, v in raws.items() if v is not None}).items()}
     base = _construct(f"source {family}", make_generator, family,
                       seed=derive_seed(seed, "generator"), **params)
     if any(key.startswith("source.drift.") for key in cfg.flat):
@@ -158,8 +141,9 @@ def _scoring(cfg: Config) -> dict:
 
 
 def _build_learner(cfg: Config, algorithm: str, schema, seed: int):
-    params = {k: auto_value(v) for k, v in cfg.section("learner.params").items()}
-    _check_params("learner.params", algorithm, {k: [v] for k, v in params.items()})
+    tokens = {k: [v] for k, v in cfg.section("learner.params").items()}
+    params = {k: values[0] for k, values in _read_params(
+        _learner_class(algorithm), algorithm, "learner.params.", tokens).items()}
     return _construct(f"learner {algorithm}", make_learner, algorithm, schema,
                       seed=derive_seed(seed, "learner"), **params)
 
@@ -211,12 +195,12 @@ def _build_space(cfg: Config) -> ConfigSpace:
         algorithm, _, param = rest.partition(".")
         grid = grids.setdefault(algorithm, {})
         if param:
-            grid[param] = [auto_value(t.strip()) for t in value.split(",")]
+            grid[param] = [t.strip() for t in value.split(",")]
     if not grids:
         raise ConfigError("cash_pretrained requires at least one cash.space.<algorithm> entry")
-    for algorithm, grid in grids.items():
-        _check_params(f"cash.space.{algorithm}", algorithm, grid)
-    return ConfigSpace(tuple(AlgorithmGrid(a, grid) for a, grid in grids.items()))
+    return ConfigSpace(tuple(
+        AlgorithmGrid(a, _read_params(_learner_class(a), a, f"cash.space.{a}.", grid))
+        for a, grid in grids.items()))
 
 
 def _cash_pretrained(cfg: Config, source, seed: int):
@@ -252,10 +236,9 @@ def _cash_pretrained(cfg: Config, source, seed: int):
 def _meta_online(cfg: Config, source, seed: int):
     roster = cfg.get_list("learner.roster",
                           default=["hoeffding_tree", "knn_window", "perceptron", "linear_sgd"])
-    mode = cfg.get_str("learner.mode", default="meta",
-                       choices=("meta", "last_best", "weighted_vote"))
+    mode = cfg.get_str("learner.mode", default="meta", choices=MetaEnsemble.MODES)
     for name in roster:
-        _check_params("learner.roster", name, {})
+        _learner_class(name)
         if name in BATCH_ALGORITHMS:
             raise ConfigError(f"meta_online roster must be incremental, got {name!r}")
     members = [
@@ -285,7 +268,7 @@ def run_experiment(flat: dict, out_dir: str = ".") -> dict:
     cfg = Config(flat)
     experiment = cfg.get_str("experiment", required=True, choices=tuple(EXPERIMENTS))
     seed = cfg.get_int("seed", default=0)
-    fmt = cfg.get_str("output.format", default=DEFAULT_FORMAT, choices=("csv", "json"))
+    fmt = cfg.get_str("output.format", default=DEFAULT_FORMAT, choices=TRACE_FORMATS)
     out_path = os.path.join(out_dir, cfg.get_str("output.path", required=True))
 
     source, dataset_label = build_source(cfg, seed)
@@ -360,6 +343,7 @@ def cmd_run(args) -> int:
     else:
         paths = [args.config]
     if args.workers > 1 and len(paths) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             futures = [
                 pool.submit(run_config_path, p, args.out, args.seed, args.format)
@@ -379,18 +363,16 @@ def cmd_run(args) -> int:
 def cmd_generate(args) -> int:
     if args.n < 1:
         raise ConfigError("n must be >= 1")
-    known = _source_params(GENERATOR_FAMILIES[args.family])
-    params = {}
+    tokens: dict[str, list[str]] = {}
     for item in args.param:
         key, _, value = item.partition("=")
         if not _:
             raise ConfigError(f"--param expects key=value, got {item!r}")
-        if key not in known:
-            raise ConfigError(f"--param {key}: {args.family} has no parameter {key!r} "
-                              f"(it takes {', '.join(known) or 'none'})")
-        params[key] = auto_value(value)
-        _check_type(f"--param {key}", params[key], known[key])
-    if args.family in _CONCEPT_FAMILIES:
+        tokens.setdefault(key, []).append(value)
+    cls = GENERATOR_FAMILIES[args.family]
+    params = {key: values[-1] for key, values in
+              _read_params(cls, args.family, "--param ", tokens).items()}
+    if "concept" in _constructor_params(cls):
         params.setdefault("concept", args.concept)
     elif args.concept != 0:
         raise ConfigError(f"family {args.family!r} has no concept index")
@@ -461,13 +443,13 @@ def cmd_summarize(args) -> int:
 
 
 def cmd_list(args) -> int:
-    for title, registry, params_of in (("algorithms", LEARNER_REGISTRY, _constructor_params),
-                                       ("generators", GENERATOR_FAMILIES, _source_params),
-                                       ("detectors", DETECTOR_KINDS, _constructor_params)):
+    for title, registry in (("algorithms", LEARNER_REGISTRY),
+                            ("generators", GENERATOR_FAMILIES),
+                            ("detectors", DETECTOR_KINDS)):
         print(f"{title}:")
         for name in sorted(registry):
             tag = " [batch]" if name in BATCH_ALGORITHMS else ""
-            params = params_of(registry[name]).items()
+            params = _constructor_params(registry[name]).items()
             print(f"  {name}{tag}: {', '.join(f'{k}={v}' for k, v in params) or '-'}")
     return 0
 
@@ -485,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=".", help="output directory for traces")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.add_argument("--workers", type=int, default=1)
-    p_run.add_argument("--format", choices=("csv", "json"), default=None)
+    p_run.add_argument("--format", choices=TRACE_FORMATS, default=None)
     p_run.set_defaults(func=cmd_run)
 
     p_gen = sub.add_parser("generate", help="write a synthetic dataset to CSV")

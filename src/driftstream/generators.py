@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .core import CATEGORICAL, NUMERIC, Feature, FeatureSchema, Instance
 
@@ -358,10 +358,14 @@ class HyperplaneGenerator(InstanceStream):
     def __init__(self, seed: int = 0, n_drift: int = 2, magnitude: float = 0.001,
                  reversal_prob: float = 0.1, noise: float = 0.0):
         super().__init__()
-        if magnitude < 0:
-            raise ValueError("magnitude must be >= 0")
+        if not 0 <= magnitude < math.inf:
+            raise ValueError("magnitude must be finite and >= 0")
         if not 0 <= n_drift <= 10:
             raise ValueError("n_drift must be in 0..10")
+        if not 0.0 <= reversal_prob <= 1.0:
+            raise ValueError("reversal_prob must be in [0, 1]")
+        if not 0.0 <= noise < 1.0:
+            raise ValueError("noise must be in [0, 1)")
         self.n_drift = n_drift
         self.magnitude = magnitude
         self.reversal_prob = reversal_prob
@@ -403,8 +407,7 @@ class RbfGenerator(InstanceStream):
     """
 
     def __init__(self, seed: int = 0, n_classes: int = 2, n_centroids: int = 50,
-                 stddev: float = 0.1, speed: float = 0.0,
-                 weights: Optional[list[float]] = None):
+                 stddev: float = 0.1, speed: float = 0.0):
         super().__init__()
         if n_centroids < n_classes:
             raise ValueError("need at least one centroid per class")
@@ -420,12 +423,7 @@ class RbfGenerator(InstanceStream):
         self.centers = [[self._rng.random() for _ in range(_RBF_N_FEATURES)]
                         for _ in range(n_centroids)]
         self.labels = [i % n_classes for i in range(n_centroids)]
-        if weights is None:
-            self.weights = [self._rng.random() for _ in range(n_centroids)]
-        else:
-            if len(weights) != n_centroids or min(weights) < 0 or sum(weights) <= 0:
-                raise ValueError("bad centroid weights")
-            self.weights = list(weights)
+        self.weights = [self._rng.random() for _ in range(n_centroids)]
         self._directions = []
         for _ in range(n_centroids):
             vec = [self._rng.gauss(0, 1) for _ in range(_RBF_N_FEATURES)]

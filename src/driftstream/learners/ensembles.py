@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..core import Instance
 from ..drift import DRIFT, Adwin
 from .base import Learner, ensemble_vote, poisson
+from .tree import HoeffdingTree
 
 
 class OzaBagging(Learner):
@@ -16,22 +17,18 @@ class OzaBagging(Learner):
     poisson_lambda = 1.0
     member_adwin = False
 
-    def __init__(self, schema, seed: int = 0, default_class=None,
-                 n_members: int = 10,
-                 member_factory: Optional[Callable[[int], Learner]] = None):
+    def __init__(self, schema, seed: int = 0, default_class=None, n_members: int = 10):
         super().__init__(schema, seed, default_class)
         if n_members < 1:
             raise ValueError("n_members must be >= 1")
-        if member_factory is None:
-            from .tree import HoeffdingTree
-
-            def member_factory(member_seed: int) -> Learner:
-                return HoeffdingTree(schema, seed=member_seed)
-
-        self._factory = member_factory
-        self.members = [member_factory(self._rng.getrandbits(32))
+        self.members = [self._new_member(self._rng.getrandbits(32))
                         for _ in range(n_members)]
         self.detectors = [Adwin() for _ in self.members] if self.member_adwin else None
+
+    def _new_member(self, seed: int) -> Learner:
+        """A fresh member, at construction and at each reset; a subclass may
+        build another learner."""
+        return HoeffdingTree(self.schema, seed=seed)
 
     def _learn(self, inst: Instance, answers: Optional[dict[int, int]] = None) -> None:
         """``answers``: the fitted members' answers ``_predict`` got for ``inst.x``."""
@@ -54,7 +51,7 @@ class OzaBagging(Learner):
 
     def _reset_worst(self) -> None:
         worst = max(range(len(self.members)), key=lambda i: self.detectors[i].mean)
-        self.members[worst] = self._factory(self._rng.getrandbits(32))
+        self.members[worst] = self._new_member(self._rng.getrandbits(32))
         self.detectors[worst] = Adwin()
         self._events.append((f"{self.algorithm}.member{worst}", "drift"))
 

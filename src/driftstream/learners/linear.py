@@ -26,6 +26,8 @@ class _OvRLinear(Learner):
 
     def __init__(self, schema, seed: int = 0, default_class=None, lr: float = 0.01):
         super().__init__(schema, seed, default_class)
+        if not 0 < lr < math.inf:
+            raise ValueError("lr must be finite and > 0")
         self.lr = lr
         self._encode = OneHotEncoder(schema)
         self.dim = self._encode.dim

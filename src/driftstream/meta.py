@@ -222,6 +222,7 @@ class MetaEnsemble(Learner):
     """
 
     algorithm = "meta_ensemble"
+    MODES = ("meta", "last_best", "weighted_vote")
 
     def __init__(self, schema: FeatureSchema, members: Sequence[Learner],
                  mode: str = "meta", window: int = 300,
@@ -230,7 +231,7 @@ class MetaEnsemble(Learner):
         super().__init__(schema, seed, default_class)
         if not members:
             raise ValueError("empty learner roster")
-        if mode not in ("meta", "last_best", "weighted_vote"):
+        if mode not in self.MODES:
             raise ValueError(f"unknown mode {mode!r}")
         if window < 1:
             raise ValueError("window must be >= 1")

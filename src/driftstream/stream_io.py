@@ -35,6 +35,7 @@ except ImportError:
 
 TRACE_COLUMNS = ("seq", "cum_accuracy", "window_accuracy", "kappa", "drift", "active_learner")
 TRACE_VERSION = 1
+TRACE_FORMATS = ("csv", "json")
 
 # data rows taken from the CSV reader at a time: one block is what a read holds
 _BLOCK = 256
@@ -383,6 +384,8 @@ def write_trace(trace: MetricTrace, path: str, format: str = "csv") -> None:
     """Serialize a trace; CSV carries the records, JSON adds the meta block."""
     if not trace.records:
         raise ValueError("refusing to write an empty trace")
+    if format not in TRACE_FORMATS:
+        raise ValueError(f"unknown trace format {format!r}")
     if format == "csv":
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -396,7 +399,7 @@ def write_trace(trace: MetricTrace, path: str, format: str = "csv") -> None:
                     _encode_events(r.drift_events),
                     "" if r.active_learner is None else r.active_learner,
                 ])
-    elif format == "json":
+    else:
         payload = {
             "trace_version": TRACE_VERSION,
             "meta": trace.meta,
@@ -415,8 +418,6 @@ def write_trace(trace: MetricTrace, path: str, format: str = "csv") -> None:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    else:
-        raise ValueError(f"unknown trace format {format!r}")
 
 
 def read_trace(path: str) -> MetricTrace:

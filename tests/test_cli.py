@@ -1,17 +1,26 @@
 import json
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import driftstream
 from driftstream.cli import EXPERIMENTS, main, run_experiment
 from driftstream.config import ConfigError, parse_config_text
 from driftstream.core import derive_seed
 from driftstream.evaluation import MetricTrace, TraceRecord, run_holdout
-from driftstream.generators import LimitedStream, StaggerGenerator, make_generator, stagger_rule
-from driftstream.learners import make_learner
+from driftstream.generators import (
+    GENERATOR_FAMILIES,
+    LimitedStream,
+    StaggerGenerator,
+    make_generator,
+    stagger_rule,
+)
+from driftstream.learners import BATCH_ALGORITHMS, LEARNER_REGISTRY, make_learner
 from driftstream.stream_io import read_dataset, read_trace, replay_csv, write_trace
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -350,6 +359,16 @@ output.format = json
     assert (tmp_path / "stagger.json").exists()
 
 
+def test_importing_the_cli_loads_no_process_pool():
+    # only a run of several configs with --workers > 1 needs the pool's modules
+    code = ("import sys, driftstream.cli; print(sorted(set(sys.modules) & "
+            "{'multiprocessing', 'concurrent.futures.process'}))")
+    src = os.path.dirname(os.path.dirname(driftstream.__file__))
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout == "[]\n"
+
+
 # -- generate --------------------------------------------------------------------------
 
 def test_generate_is_deterministic(tmp_path):
@@ -474,8 +493,41 @@ def test_list_prints_registries(capsys):
                    "max_buckets=5", "max_features=None"):
         assert needle in out
     assert "seed=" not in out and "schema" not in out
-    # rbf's centroid weights take a list, which no flat config value gives
+    # rbf always draws its centroid weights: its constructor takes none
     assert "weights=" not in out
+
+
+def _listed_params(capsys, name):
+    """The ``key=value`` pairs ``driftstream list`` prints for ``name``."""
+    assert main(["list"]) == 0
+    for line in capsys.readouterr().out.splitlines():
+        head, _, params = line.strip().partition(": ")
+        if head.split(" ")[0] == name:
+            return [] if params == "-" else [p.split("=", 1) for p in params.split(", ")]
+    raise AssertionError(f"{name} is not listed")
+
+
+@pytest.mark.parametrize("prefix, name", [("learner.params", a) for a in sorted(LEARNER_REGISTRY)]
+                         + [("source", f) for f in sorted(GENERATOR_FAMILIES)])
+def test_listed_defaults_set_explicitly_leave_the_trace_unchanged(tmp_path, capsys, prefix,
+                                                                  name):
+    listed = _listed_params(capsys, name)
+    assert listed
+    if prefix == "source":
+        experiment, body = "online", f"source.family = {name}\nlearner.algorithm = naive_bayes"
+    else:
+        experiment = "batch_pretrained" if name in BATCH_ALGORITHMS else "online"
+        body = f"source.family = sea\nlearner.algorithm = {name}"
+        if name in BATCH_ALGORITHMS:
+            body += "\nprefix_size = 100"
+    traces = []
+    for tag, lines in (("plain", []), ("explicit", [f"{prefix}.{k} = {v}" for k, v in listed])):
+        cfg = write_cfg(tmp_path, f"{tag}.cfg", "\n".join([
+            f"experiment = {experiment}", "seed = 5", "source.kind = generator",
+            "source.n = 400", body, f"output.path = {tag}.csv", *lines]) + "\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
+        traces.append((tmp_path / f"{tag}.csv").read_bytes())
+    assert traces[0] == traces[1]
 
 
 # -- error reporting ---------------------------------------------------------------------
@@ -534,7 +586,7 @@ def test_unknown_learner_parameter_exits_one(tmp_path, capsys, body):
 
 
 def test_callable_learner_parameter_exits_one(tmp_path, capsys):
-    # member_factory takes a callable, which no flat config value gives
+    # members are built by the ensemble's own _new_member, not by a constructor parameter
     cfg = write_cfg(tmp_path, "f.cfg", ONLINE_CFG.format(out="f.csv", fmt="csv").replace(
         "learner.algorithm = naive_bayes",
         "learner.algorithm = oza_bagging\nlearner.params.member_factory = x"))
@@ -596,7 +648,7 @@ _HOLDOUT = "eval.protocol = holdout\neval.holdout_size = 100\neval.period = 500\
     ("learner.algorithm = naive_bayes", "learner.algorithm = knn_window\nlearner.parms.k = 1\n"
      "eval.protocl = holdout", "learner.parms.k, eval.protocl", "online"),
     ("source.concept = 0", "source.nois = 0.1", "source.nois", "online"),
-    # rbf's centroid weights take a list, which no flat value gives
+    # rbf always draws its centroid weights: its constructor takes none
     ("source.family = sea\nsource.concept = 0", "source.family = rbf\nsource.weights = 1",
      "source.weights", "online"),
     ("source.kind = generator\nsource.family = sea\nsource.concept = 0",
@@ -684,12 +736,18 @@ output.path = n.csv
      "eval.holdout_size = 0\neval.period = 10", "eval.holdout_size must be >= 1"),
     ("online", "learner.algorithm = naive_bayes\neval.protocol = holdout\n"
      "eval.holdout_size = 10\neval.period = 10", "eval.period must exceed eval.holdout_size"),
+    ("online", "learner.algorithm = linear_sgd\nlearner.params.lr = -0.5",
+     "learner linear_sgd: lr must be finite and > 0"),
+    ("online", "learner.algorithm = perceptron\nlearner.params.lr = 0",
+     "learner perceptron: lr must be finite and > 0"),
+    ("batch_pretrained", "learner.algorithm = linear_svm_batch\nlearner.params.lr = inf\n"
+     "prefix_size = 10", "learner linear_svm_batch: lr must be finite and > 0"),
 ], ids=["knn_window.k", "oza_bagging.n_members", "cart_batch.max_depth",
         "meta_online.window", "eval.pretrain", "hoeffding_tree.delta",
         "hoeffding_tree.grace_period", "hoeffding_adaptive_tree.adwin_delta",
         "linear_svm_batch.epochs", "cart_batch.epochs", "cash.space.knn_batch.k",
         "cash.epochs", "cash.budget", "cash.prefix_size", "eval.holdout_size",
-        "eval.period"])
+        "eval.period", "linear_sgd.lr", "perceptron.lr", "linear_svm_batch.lr"])
 def test_value_rejected_before_first_instance_exits_one(tmp_path, capsys, experiment,
                                                         lines, message):
     data = tmp_path / "d.csv"
@@ -776,16 +834,25 @@ def _count_pulls(monkeypatch, cls):
      "source.drift: position must be >= 0"),
     ("source.drift.concept = 9\nsource.drift.position = 100",
      "source.drift: sea concept must be in 0..3, got 9"),
-], ids=["noise", "concept", "drift.width", "drift.position", "drift.concept"])
+    ("source.family = hyperplane\nsource.noise = 2.5",
+     "source hyperplane: noise must be in [0, 1)"),
+    ("source.family = hyperplane\nsource.reversal_prob = -3",
+     "source hyperplane: reversal_prob must be in [0, 1]"),
+    ("source.family = hyperplane\nsource.magnitude = inf",
+     "source hyperplane: magnitude must be finite and >= 0"),
+], ids=["noise", "concept", "drift.width", "drift.position", "drift.concept",
+        "hyperplane.noise", "hyperplane.reversal_prob", "hyperplane.magnitude"])
 def test_source_constructor_error_exits_one_before_first_instance(tmp_path, capsys, monkeypatch,
                                                                   lines, message):
-    from driftstream.generators import SeaGenerator
-    pulls = _count_pulls(monkeypatch, SeaGenerator)
-    cfg = write_cfg(tmp_path, "s.cfg", ONLINE_CFG.format(out="s.csv", fmt="csv")
-                    .replace("source.concept = 0\n", "") + lines + "\n")
+    from driftstream.generators import HyperplaneGenerator, SeaGenerator
+    pulls = [_count_pulls(monkeypatch, cls) for cls in (SeaGenerator, HyperplaneGenerator)]
+    text = ONLINE_CFG.format(out="s.csv", fmt="csv").replace("source.concept = 0\n", "")
+    if "source.family" in lines:
+        text = text.replace("source.family = sea\n", "")
+    cfg = write_cfg(tmp_path, "s.cfg", text + lines + "\n")
     assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert f"config error: {message}" in capsys.readouterr().err
-    assert pulls == []
+    assert pulls == [[], []]
     assert not (tmp_path / "s.csv").exists()
 
 
@@ -806,8 +873,12 @@ def test_config_error_inside_a_source_constructor_keeps_its_message(tmp_path, ca
     (["--drift-position", "2", "--drift-width", "3"],
      "--drift-position and --drift-width need --drift-concept"),
     (["--drift-width", "3"], "--drift-position and --drift-width need --drift-concept"),
+    (["--family", "hyperplane", "--param", "noise=-0.1"],
+     "family hyperplane: noise must be in [0, 1)"),
+    (["--family", "hyperplane", "--param", "magnitude=nan"],
+     "family hyperplane: magnitude must be finite and >= 0"),
 ], ids=["noise", "concept", "drift.width", "drift.position", "drift.no_concept",
-        "drift.width.no_concept"])
+        "drift.width.no_concept", "hyperplane.noise", "hyperplane.magnitude"])
 def test_generate_constructor_error_exits_one(tmp_path, capsys, args, message):
     out = tmp_path / "g.csv"
     assert main(["generate", "--family", "sea", "--n", "10", "--out", str(out)] + args) == 1

@@ -222,14 +222,6 @@ def test_rbf_zero_speed_fixes_centroids():
     assert gen.centers == before
 
 
-def test_rbf_weighting_selects_single_centroid():
-    gen = RbfGenerator(seed=4, n_centroids=3, stddev=0.0, speed=0.0,
-                       weights=[1.0, 0.0, 0.0])
-    for inst in gen.take(200):
-        assert inst.x == gen.centers[0]
-        assert inst.y == gen.labels[0]
-
-
 def test_rbf_moving_centroids_stay_in_bounds():
     gen = RbfGenerator(seed=9, n_centroids=4, speed=0.05)
     gen.take(2000)

@@ -49,8 +49,11 @@ def _build(name, schema, keep):
     wrap = (lambda learner: learner) if keep else _no_handover
     if name in ("oza_bagging_adwin", "leveraging_bagging"):
         cls = OzaBaggingAdwin if name == "oza_bagging_adwin" else LeveragingBagging
-        return wrap(cls(schema, seed=3, default_class=0, n_members=5,
-                        member_factory=lambda s: wrap(HoeffdingTree(schema, seed=s))))
+
+        class Bag(cls):
+            def _new_member(self, seed):
+                return wrap(super()._new_member(seed))
+        return wrap(Bag(schema, seed=3, default_class=0, n_members=5))
     if name.startswith("meta_ensemble"):
         members = [wrap(make_learner(m, schema, seed=50 + j)) for j, m in enumerate(ROSTER)]
         return wrap(MetaEnsemble(schema, members, mode=name.split(":")[1], window=100,
@@ -142,12 +145,13 @@ def test_state_only_for_equal_x_and_no_learn_between(name):
 def test_bagging_member_reuses_state_on_first_poisson_draw_only(cls):
     schema = StaggerGenerator.schema
 
-    def spied_tree(member_seed):
-        member = HoeffdingTree(schema, seed=member_seed)
-        member.calls = _spy_learn(member)
-        return member
+    class SpiedBag(cls):
+        def _new_member(self, seed):
+            member = super()._new_member(seed)
+            member.calls = _spy_learn(member)
+            return member
 
-    bag = cls(schema, seed=5, n_members=4, member_factory=spied_tree)
+    bag = SpiedBag(schema, seed=5, n_members=4)
     repeats = 0
     for inst in _stagger_switch(1500):
         if bag.fitted:

@@ -588,16 +588,17 @@ def test_adwin_bagging_asks_each_member_once_per_step(cls):
     schema = StaggerGenerator.schema
     calls = [0]
 
-    def counted_tree(member_seed):
-        member = HoeffdingTree(schema, seed=member_seed)
+    class CountedBag(cls):
+        def _new_member(self, seed):
+            member = super()._new_member(seed)
 
-        def predict(x, _predict=member.predict):
-            calls[0] += 1
-            return _predict(x)
-        member.predict = predict
-        return member
+            def predict(x, _predict=member.predict):
+                calls[0] += 1
+                return _predict(x)
+            member.predict = predict
+            return member
 
-    bag = cls(schema, seed=3, n_members=5, member_factory=counted_tree)
+    bag = CountedBag(schema, seed=3, n_members=5)
     # The reference asks every member again in partial_fit: a predict on
     # another x between predict and partial_fit leaves nothing to reuse.
     ref = cls(schema, seed=3, n_members=5)
