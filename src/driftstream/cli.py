@@ -342,6 +342,8 @@ def cmd_run(args) -> int:
             raise ConfigError(f"no .cfg files in {args.config}")
     else:
         paths = [args.config]
+    if args.workers < 1:
+        raise ConfigError("--workers must be >= 1")
     if args.workers > 1 and len(paths) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.workers) as pool:

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import chain, count, cycle, repeat
+from typing import Iterable, Iterator, Optional
 
-from .core import ConfusionMatrix
+from .core import ConfusionMatrix, Instance
 from .generators import InstanceStream
 from .learners import Learner
 
@@ -64,39 +65,40 @@ class _Scorer:
         )
 
 
-def _test_then_train(source: InstanceStream, learner: Learner, report_every: int,
-                     window: int, learn: bool,
-                     pretrain: int = 0, detectors: Optional[dict] = None) -> list[TraceRecord]:
-    """Score each instance, then (with ``learn``) train on it.
+_SCORE, _TRAIN, _TEST_THEN_TRAIN = (True, False), (False, True), (True, True)
 
-    Without ``learn`` every instance is scored and the learner is only asked
-    to predict. With it, instances arriving before the learner has fitted
-    anything (or within the ``pretrain`` budget) are trained without being
-    scored.
+
+def _test_then_train(source: Iterable[Instance], n_classes: int, learner: Learner, phases: Iterable,
+                     report_every: int, window: int, detectors: Optional[dict] = None,
+                     reporter: Optional[Learner] = None) -> tuple[list[TraceRecord], int]:
+    """Score and train on ``source`` as ``phases`` say, one ``(score, train)``
+    pair per instance; return the records and the number of instances consumed.
+
+    A test-then-train phase scores only a learner that has fitted something.
+    The learner's drift and swap events and the statuses of the external
+    ``detectors`` (name -> detector) go into the next record, and
+    ``reporter``'s ``active_index`` into its active_learner column.
     """
     if report_every < 1:
         raise ValueError("report_every must be >= 1")
     if window < 1:
         raise ValueError("window must be >= 1")
-    scorer = _Scorer(source.schema.n_classes, window)
+    scorer = _Scorer(n_classes, window)
     # detectors declare their polarity: drift monitors of the error rate
     # consume the error bit, windowed-mean monitors the correctness bit
     monitors = [
         (name, detector.update, getattr(detector, "input_kind", "error") == "correctness")
         for name, detector in (detectors or {}).items()
     ]
-    # only a learning model reports its active member; a frozen one leaves
-    # the trace's active_learner column empty
-    reporter = learner if learn else None
-    last_record_at = 0
+    last_record_at = consumed = 0
     records: list[TraceRecord] = []
     predict, score = learner.predict, scorer.score
     events = scorer.pending_events  # scorer.record swaps it for a fresh list
 
-    for consumed, inst in enumerate(source, start=1):
+    for consumed, inst, (test, train) in zip(count(1), source, phases):
         if inst.y is None:
             raise ValueError(f"unlabeled sample at seq {inst.seq}")
-        if not learn or (consumed > pretrain and learner.fitted):
+        if test and (not train or learner.fitted):
             correct = score(inst.y, predict(inst.x))
             if monitors:
                 hit, miss = float(correct), 1.0 - correct
@@ -104,7 +106,7 @@ def _test_then_train(source: InstanceStream, learner: Learner, report_every: int
                     status = update(hit if on_correct else miss)
                     if status:  # STABLE is 0
                         events.append((inst.seq, name, status.name.lower()))
-        if learn:
+        if train:
             learner.partial_fit(inst)
             for detector_id, status in learner.drain_events():
                 events.append((inst.seq, detector_id, status))
@@ -113,11 +115,9 @@ def _test_then_train(source: InstanceStream, learner: Learner, report_every: int
             events = scorer.pending_events
             last_record_at = scorer.scored
 
-    if scorer.scored == 0:
-        raise ValueError("stream produced no scorable samples")
     if scorer.scored != last_record_at:
         records.append(scorer.record(inst.seq, getattr(reporter, "active_index", None)))
-    return records
+    return records, consumed
 
 
 def run_prequential(source: InstanceStream, learner: Learner,
@@ -130,9 +130,19 @@ def run_prequential(source: InstanceStream, learner: Learner,
     ``detectors`` (name -> detector) watch the correctness bit; their warning
     and drift statuses are stamped into the trace.
     """
-    records = _test_then_train(source, learner, report_every, window,
-                               learn=True, pretrain=pretrain, detectors=detectors)
+    phases = chain(repeat(_TRAIN, pretrain), repeat(_TEST_THEN_TRAIN))
+    records, _ = _test_then_train(source, source.schema.n_classes, learner, phases,
+                                  report_every, window, detectors, reporter=learner)
+    if not records:
+        raise ValueError("stream produced no scorable samples")
     return MetricTrace(records=records, meta={"protocol": "prequential"})
+
+
+def _audited(source: Iterable[Instance], phases: Iterable, meta: dict) -> Iterator[Instance]:
+    """Replay ``source``, listing each seq in ``meta`` as scored or trained by its phase."""
+    for inst, (test, _) in zip(source, phases):
+        meta["scored_seqs" if test else "trained_seqs"].append(inst.seq)
+        yield inst
 
 
 def run_holdout(source: InstanceStream, learner: Learner,
@@ -140,46 +150,26 @@ def run_holdout(source: InstanceStream, learner: Learner,
     """Periodic holdout: per cycle, train on period - holdout_size samples,
     then score the next holdout_size samples without training on them.
 
-    The per-record window accuracy covers the last cycle's holdout.
-    A stream exhausted mid-cycle yields a final partial record and the trace
-    is flagged incomplete.
+    A record falls at the end of every cycle; its window accuracy covers that
+    cycle's holdout, and it carries the learner's drift and swap events since
+    the last record. A stream exhausted mid-cycle yields a final partial
+    record and the trace is flagged incomplete.
     """
     if holdout_size < 1:
         raise ValueError("holdout_size must be >= 1")
     if period <= holdout_size:
         raise ValueError("period must exceed holdout_size")
-    train_per_cycle = period - holdout_size
-    scorer = _Scorer(source.schema.n_classes, holdout_size)
-    records: list[TraceRecord] = []
-    scored_seqs: list[int] = []
-    trained_seqs: list[int] = []
-    pos = 0  # instances consumed in the current cycle
-
-    for inst in source:
-        if inst.y is None:
-            raise ValueError(f"unlabeled sample at seq {inst.seq}")
-        if pos < train_per_cycle:
-            learner.partial_fit(inst)
-            if audit:
-                trained_seqs.append(inst.seq)
-        else:
-            scorer.score(inst.y, learner.predict(inst.x))
-            if audit:
-                scored_seqs.append(inst.seq)
-        pos = (pos + 1) % period
-        if pos == 0:
-            records.append(scorer.record(inst.seq, None))
-
-    if not records:
-        raise ValueError("stream shorter than one full holdout cycle")
-    if pos > train_per_cycle:
-        records.append(scorer.record(inst.seq, None))
-    trace_meta = {"protocol": "holdout"}
-    if pos > 0:
-        trace_meta["incomplete_final_cycle"] = True
+    one_cycle = [_TRAIN] * (period - holdout_size) + [_SCORE] * holdout_size
+    trace_meta: dict = {"protocol": "holdout"}
     if audit:
-        trace_meta["scored_seqs"] = scored_seqs
-        trace_meta["trained_seqs"] = trained_seqs
+        trace_meta.update(scored_seqs=[], trained_seqs=[])
+    instances = _audited(source, cycle(one_cycle), trace_meta) if audit else source
+    records, consumed = _test_then_train(instances, source.schema.n_classes, learner,
+                                         cycle(one_cycle), holdout_size, holdout_size)
+    if consumed < period:
+        raise ValueError("stream shorter than one full holdout cycle")
+    if consumed % period:
+        trace_meta["incomplete_final_cycle"] = True
     return MetricTrace(records=records, meta=trace_meta)
 
 
@@ -188,5 +178,8 @@ def evaluate_pretrained(source: InstanceStream, model: Learner,
     """Score a frozen model against a stream; the model state is never touched."""
     if not model.frozen:
         raise ValueError("evaluate_pretrained requires a frozen model")
-    records = _test_then_train(source, model, report_every, window, learn=False)
+    records, _ = _test_then_train(source, source.schema.n_classes, model, repeat(_SCORE),
+                                  report_every, window)
+    if not records:
+        raise ValueError("stream produced no scorable samples")
     return MetricTrace(records=records, meta={"protocol": "pretrained"})

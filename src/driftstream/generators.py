@@ -411,8 +411,8 @@ class RbfGenerator(InstanceStream):
         super().__init__()
         if n_centroids < n_classes:
             raise ValueError("need at least one centroid per class")
-        if speed < 0 or stddev < 0:
-            raise ValueError("speed and stddev must be >= 0")
+        if not (0 <= speed < math.inf and 0 <= stddev < math.inf):
+            raise ValueError("speed and stddev must be finite and >= 0")
         self.schema = FeatureSchema(
             features=tuple(Feature(f"x{i}") for i in range(_RBF_N_FEATURES)),
             classes=tuple(str(c) for c in range(n_classes)),

@@ -123,6 +123,8 @@ class HoeffdingTree(Learner):
             raise ValueError("grace_period must be >= 1")
         if not 0.0 < delta <= 1.0:
             raise ValueError("delta must be in (0, 1]")
+        if not 0.0 <= tau < math.inf:
+            raise ValueError("tau must be finite and >= 0")
         check_optional_int("max_depth", max_depth, 1)
         self.grace_period = grace_period
         self.delta = delta

@@ -1,3 +1,6 @@
+import csv
+import hashlib
+import io
 import json
 import os
 import re
@@ -200,6 +203,49 @@ eval.period = 400
     assert (tmp_path / "h.json").read_bytes() == (tmp_path / "lib.json").read_bytes()
 
 
+# Holdout runs on Agrawal with an abrupt switch. The digest of each trace
+# without its drift column, and the whole trace of oza_bagging (a learner with
+# no events), were recorded while the holdout loop still dropped the learner's
+# events; the other whole digests and drift counts hold the events it now records.
+_HOLDOUT_GOLDEN = {
+    "oza_bagging": ("f8fccfcf59c16543aa46821637ef0e2b32c2ecfef73c5800711c6f2ebf64b581",
+                    "a56df683ec83f7820fcfc3c968a527e9bad195c7f001d4600ce7106bdb04a7a7", 0),
+    "hoeffding_adaptive_tree": (
+        "43ef9066648066d14636f8adf20a1ef8c64f3931a7c562d928cad50e920bcbc5",
+        "13358406fdec12a4880a84804d0d2964dbd494764d4661c77fccd1feaca7cde2", 1),
+    "oza_bagging_adwin": ("5979c780d6e8e79e4bbd5c6951ee584738aa40453e2d3b16788495752e72b562",
+                          "1efb775f4d72a3d00440cf2da6f6010ce934782ca400055ebf6c6113c698b4a2", 21),
+}
+
+
+@pytest.mark.parametrize("learner", sorted(_HOLDOUT_GOLDEN))
+def test_holdout_trace_records_learner_events_and_nothing_else_changes(tmp_path, learner):
+    without_drift, whole, drifts = _HOLDOUT_GOLDEN[learner]
+    cfg = write_cfg(tmp_path, "h.cfg", f"""
+experiment = online
+seed = 5
+source.kind = generator
+source.family = agrawal
+source.concept = 0
+source.n = 3000
+source.drift.concept = 4
+source.drift.position = 750
+learner.algorithm = {learner}
+eval.protocol = holdout
+eval.holdout_size = 100
+eval.period = 450
+output.path = h.csv
+""")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
+    data = (tmp_path / "h.csv").read_bytes()
+    rows = list(csv.reader(io.StringIO(data.decode())))
+    col = rows[0].index("drift")
+    kept = "\n".join(",".join(row[:col] + row[col + 1:]) for row in rows).encode()
+    assert hashlib.sha256(kept).hexdigest() == without_drift
+    assert hashlib.sha256(data).hexdigest() == whole
+    assert json.loads((tmp_path / "h.summary.json").read_text())["drift_count"] == drifts
+
+
 def test_failed_output_write_removes_the_files_already_written(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.cfg", """
 experiment = cash_pretrained
@@ -357,6 +403,14 @@ output.format = json
     assert main(["run", "--config", str(suite), "--out", str(tmp_path), "--workers", "2"]) == 0
     assert (tmp_path / "sea.json").exists()
     assert (tmp_path / "stagger.json").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exits_one(tmp_path, capsys, workers):
+    cfg = write_cfg(tmp_path, "w.cfg", ONLINE_CFG.format(out="w.csv", fmt="csv"))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path), "--workers", workers]) == 1
+    assert "config error: --workers must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "w.csv").exists()
 
 
 def test_importing_the_cli_loads_no_process_pool():
@@ -742,12 +796,20 @@ output.path = n.csv
      "learner perceptron: lr must be finite and > 0"),
     ("batch_pretrained", "learner.algorithm = linear_svm_batch\nlearner.params.lr = inf\n"
      "prefix_size = 10", "learner linear_svm_batch: lr must be finite and > 0"),
+    ("online", "learner.algorithm = hoeffding_tree\nlearner.params.tau = -1",
+     "learner hoeffding_tree: tau must be finite and >= 0"),
+    ("online", "learner.algorithm = hoeffding_tree\nlearner.params.tau = nan",
+     "learner hoeffding_tree: tau must be finite and >= 0"),
+    ("online", "learner.algorithm = hoeffding_adaptive_tree\nlearner.params.tau = inf",
+     "learner hoeffding_adaptive_tree: tau must be finite and >= 0"),
 ], ids=["knn_window.k", "oza_bagging.n_members", "cart_batch.max_depth",
         "meta_online.window", "eval.pretrain", "hoeffding_tree.delta",
         "hoeffding_tree.grace_period", "hoeffding_adaptive_tree.adwin_delta",
         "linear_svm_batch.epochs", "cart_batch.epochs", "cash.space.knn_batch.k",
         "cash.epochs", "cash.budget", "cash.prefix_size", "eval.holdout_size",
-        "eval.period", "linear_sgd.lr", "perceptron.lr", "linear_svm_batch.lr"])
+        "eval.period", "linear_sgd.lr", "perceptron.lr", "linear_svm_batch.lr",
+        "hoeffding_tree.tau.negative", "hoeffding_tree.tau.nan",
+        "hoeffding_adaptive_tree.tau.inf"])
 def test_value_rejected_before_first_instance_exits_one(tmp_path, capsys, experiment,
                                                         lines, message):
     data = tmp_path / "d.csv"
@@ -840,19 +902,25 @@ def _count_pulls(monkeypatch, cls):
      "source hyperplane: reversal_prob must be in [0, 1]"),
     ("source.family = hyperplane\nsource.magnitude = inf",
      "source hyperplane: magnitude must be finite and >= 0"),
+    ("source.family = rbf\nsource.speed = nan",
+     "source rbf: speed and stddev must be finite and >= 0"),
+    ("source.family = rbf\nsource.stddev = inf",
+     "source rbf: speed and stddev must be finite and >= 0"),
 ], ids=["noise", "concept", "drift.width", "drift.position", "drift.concept",
-        "hyperplane.noise", "hyperplane.reversal_prob", "hyperplane.magnitude"])
+        "hyperplane.noise", "hyperplane.reversal_prob", "hyperplane.magnitude",
+        "rbf.speed", "rbf.stddev"])
 def test_source_constructor_error_exits_one_before_first_instance(tmp_path, capsys, monkeypatch,
                                                                   lines, message):
-    from driftstream.generators import HyperplaneGenerator, SeaGenerator
-    pulls = [_count_pulls(monkeypatch, cls) for cls in (SeaGenerator, HyperplaneGenerator)]
+    from driftstream.generators import HyperplaneGenerator, RbfGenerator, SeaGenerator
+    pulls = [_count_pulls(monkeypatch, cls)
+             for cls in (SeaGenerator, HyperplaneGenerator, RbfGenerator)]
     text = ONLINE_CFG.format(out="s.csv", fmt="csv").replace("source.concept = 0\n", "")
     if "source.family" in lines:
         text = text.replace("source.family = sea\n", "")
     cfg = write_cfg(tmp_path, "s.cfg", text + lines + "\n")
     assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert f"config error: {message}" in capsys.readouterr().err
-    assert pulls == [[], []]
+    assert pulls == [[], [], []]
     assert not (tmp_path / "s.csv").exists()
 
 
@@ -877,8 +945,13 @@ def test_config_error_inside_a_source_constructor_keeps_its_message(tmp_path, ca
      "family hyperplane: noise must be in [0, 1)"),
     (["--family", "hyperplane", "--param", "magnitude=nan"],
      "family hyperplane: magnitude must be finite and >= 0"),
+    (["--family", "rbf", "--param", "speed=nan"],
+     "family rbf: speed and stddev must be finite and >= 0"),
+    (["--family", "rbf", "--param", "stddev=-inf"],
+     "family rbf: speed and stddev must be finite and >= 0"),
 ], ids=["noise", "concept", "drift.width", "drift.position", "drift.no_concept",
-        "drift.width.no_concept", "hyperplane.noise", "hyperplane.magnitude"])
+        "drift.width.no_concept", "hyperplane.noise", "hyperplane.magnitude",
+        "rbf.speed", "rbf.stddev"])
 def test_generate_constructor_error_exits_one(tmp_path, capsys, args, message):
     out = tmp_path / "g.csv"
     assert main(["generate", "--family", "sea", "--n", "10", "--out", str(out)] + args) == 1

@@ -122,8 +122,13 @@ def test_unlabeled_sample_raises():
 
 
 def test_empty_stream_raises():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no scorable samples"):
         run_prequential(labeled_stream([]), ProbeLearner(ONE_NUMERIC))
+    with pytest.raises(ValueError, match="no scorable samples"):
+        evaluate_pretrained(labeled_stream([]), ProbeLearner(ONE_NUMERIC).freeze())
+    with pytest.raises(ValueError, match="shorter than one full holdout cycle"):
+        run_holdout(labeled_stream([]), ProbeLearner(ONE_NUMERIC), holdout_size=20,
+                    period=100)
 
 
 def test_external_detector_events_enter_trace():
@@ -194,6 +199,9 @@ def test_holdout_never_trains_on_scored_samples():
     trained = set(trace.meta["trained_seqs"])
     assert scored and trained
     assert scored.isdisjoint(trained)
+    # the audit lists what the learner was really asked (its feature is the seq)
+    assert [x[0] for kind, x in probe.calls if kind == "fit"] == trace.meta["trained_seqs"]
+    assert [x[0] for kind, x in probe.calls if kind == "predict"] == trace.meta["scored_seqs"]
 
 
 def test_holdout_oracle_scores_one_per_cycle():
