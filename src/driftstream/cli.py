@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import inspect
 import json
 import os
@@ -183,6 +184,8 @@ def _online(cfg: Config, source, seed: int):
     for name in cfg.get_list("eval.detectors", default=[]):
         if name not in DETECTOR_KINDS:
             raise ConfigError(f"eval.detectors: unknown detector {name!r}")
+        if name in detectors:
+            raise ConfigError(f"eval.detectors: {name!r} is listed twice")
         detectors[name] = make_detector(name)
     scoring = _scoring(cfg)
     return lambda: (run_prequential(source, learner, pretrain=pretrain, detectors=detectors,
@@ -269,7 +272,12 @@ def run_experiment(flat: dict, out_dir: str = ".") -> dict:
     experiment = cfg.get_str("experiment", required=True, choices=tuple(EXPERIMENTS))
     seed = cfg.get_int("seed", default=0)
     fmt = cfg.get_str("output.format", default=DEFAULT_FORMAT, choices=TRACE_FORMATS)
-    out_path = os.path.join(out_dir, cfg.get_str("output.path", required=True))
+    path = cfg.get_str("output.path", required=True)
+    # read_trace tells the formats apart by this suffix alone
+    if (fmt == "json") != path.endswith(".json"):
+        raise ConfigError(f"output.format = {fmt} does not match output.path = {path}: "
+                          f"a trace is JSON if and only if its path ends in .json")
+    out_path = os.path.join(out_dir, path)
 
     source, dataset_label = build_source(cfg, seed)
     started = time.perf_counter()
@@ -437,10 +445,10 @@ def cmd_summarize(args) -> int:
     for row in rows:
         print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(row) + "\n")
+        with open(args.out, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
     return 0
 
 

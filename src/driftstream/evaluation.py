@@ -115,7 +115,9 @@ def _test_then_train(source: Iterable[Instance], n_classes: int, learner: Learne
             events = scorer.pending_events
             last_record_at = scorer.scored
 
-    if scorer.scored != last_record_at:
+    # a closing record holds what came after the last one: scores, or learner
+    # events drained in a holdout's training stretch that no score followed
+    if scorer.scored and (scorer.scored != last_record_at or scorer.pending_events):
         records.append(scorer.record(inst.seq, getattr(reporter, "active_index", None)))
     return records, consumed
 
@@ -152,8 +154,9 @@ def run_holdout(source: InstanceStream, learner: Learner,
 
     A record falls at the end of every cycle; its window accuracy covers that
     cycle's holdout, and it carries the learner's drift and swap events since
-    the last record. A stream exhausted mid-cycle yields a final partial
-    record and the trace is flagged incomplete.
+    the last record. A stream exhausted mid-cycle is flagged incomplete; it
+    yields a final partial record when it ends in a holdout, or in a training
+    stretch in which the learner reported events.
     """
     if holdout_size < 1:
         raise ValueError("holdout_size must be >= 1")

@@ -4,13 +4,14 @@ CSV dialect: comma separator, first row header, "." decimal, UTF-8. The label
 column defaults to the last column. Categorical feature values are written as
 their display tokens so a generated file re-infers to an equivalent schema.
 
-Both reads of a file take its rows ``_BLOCK`` at a time and check and convert
-a block column by column. A block with a blank row, a row of another width or
-a token that does not fit goes row by row instead, and only that path raises
-an error about a row's fields, so every error, row number and instance is the
-same as row by row, and a consumer that stops before a faulty row never sees
-it. A line the CSV reader itself cannot parse is a DatasetError naming its
-row, raised after the rows before it, as a row-by-row read would meet it.
+Every CSV read (a dataset's scan, its replay, a trace) takes its rows
+``_BLOCK`` lines at a time from one reader, ``_data_blocks``. It drops blank
+lines and ends the rows before a row of another width, or a line the CSV
+reader cannot parse, with a short block; the DatasetError naming that row
+follows. So every error, row number and instance is the same as a row-by-row
+read would give, and a consumer that stops before a faulty row never sees it.
+A block is scanned and converted column by column; only a replayed block with
+a token that does not convert goes row by row, to name the faulty row.
 """
 
 from __future__ import annotations
@@ -20,18 +21,12 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import CATEGORICAL, Feature, FeatureSchema, Instance
 from .evaluation import MetricTrace, TraceRecord
 from .generators import InstanceStream
-
-try:
-    from operator import call as _call  # Python 3.11+
-except ImportError:
-    def _call(function, argument):
-        return function(argument)
 
 TRACE_COLUMNS = ("seq", "cum_accuracy", "window_accuracy", "kappa", "drift", "active_learner")
 TRACE_VERSION = 1
@@ -45,33 +40,39 @@ class DatasetError(ValueError):
     pass
 
 
-def _blocks(reader, path: str) -> Iterator[list[list[str]]]:
-    """The reader's rows in lists of up to ``_BLOCK``. A line the reader
-    cannot parse (say, a field over ``csv.field_size_limit()``) ends the rows
-    read before it with a short block; after that block, where a row-by-row
-    read would meet it, comes a DatasetError naming its row."""
-    n_read = 0
+def _data_blocks(reader, path: str,
+                 width: int) -> Iterator[tuple[Sequence[int], list[list[str]]]]:
+    """The reader's data rows with their row numbers (from 1, blank lines
+    included), as ``(row numbers, rows)`` per read of up to ``_BLOCK`` lines.
+    Blank lines are dropped. A row of another width, or a line the reader
+    cannot parse (say, a field over ``csv.field_size_limit()``), ends the rows
+    before it with a short block; after that block, where a row-by-row read
+    would meet it, comes a DatasetError naming its row."""
+    last = 0  # the number of the last line read
     while True:
         block: list[list[str]] = []
+        fault = None
         try:
             block.extend(islice(reader, _BLOCK))  # keeps the rows before an error
         except csv.Error as exc:
-            if block:
-                yield block
-            raise DatasetError(f"{path}: row {n_read + len(block) + 1}: {exc}") from None
-        if not block:
-            return
-        n_read += len(block)
-        yield block
-
-
-def _fits(block: list[list[str]], width: int) -> bool:
-    """Whether every row of ``block`` has ``width`` fields; a blank row has none."""
-    return all(map(width.__eq__, map(len, block)))
-
-
-def _width_error(path: str, rowno: int, row: list[str], width: int) -> DatasetError:
-    return DatasetError(f"{path}: row {rowno} has {len(row)} fields, header has {width}")
+            fault = DatasetError(f"{path}: row {last + len(block) + 1}: {exc}")
+        else:
+            if not block:
+                return
+        rownos: Sequence[int] = range(last + 1, last + len(block) + 1)
+        last += len(block)
+        if not all(map(width.__eq__, map(len, block))):
+            cut = next((i for i, row in enumerate(block) if row and len(row) != width), None)
+            if cut is not None:  # a width error comes before any unparsable line after it
+                fault = DatasetError(f"{path}: row {rownos[cut]} has {len(block[cut])} "
+                                     f"fields, header has {width}")
+                del block[cut:]
+            rownos = [rowno for rowno, row in zip(rownos, block) if row]
+            block = [row for row in block if row]
+        if block:
+            yield rownos, block
+        if fault is not None:
+            raise fault
 
 
 class _ColumnScan:
@@ -104,8 +105,8 @@ class _ColumnScan:
         self.numeric_seen = True
         self.tokens = None
 
-    def see_all(self, column: Sequence[str], rowno: int) -> None:
-        """Take the column's tokens of consecutive rows from ``rowno`` on, as
+    def see_all(self, column: Sequence[str], rownos: Sequence[int]) -> None:
+        """Take the column's tokens of the rows numbered ``rownos``, as
         ``see`` on each would. A block that only confirms what is known (all
         numeric in a column with no non-numeric token yet, only known tokens
         in a categorical one, anything in a mixed one) takes one C-level pass
@@ -121,7 +122,7 @@ class _ColumnScan:
                 return
         elif self.tokens is None or all(map(self.tokens.__contains__, column)):
             return
-        for rowno, token in enumerate(column, rowno):
+        for rowno, token in zip(rownos, column):
             self.see(token, rowno)
 
 
@@ -169,27 +170,14 @@ def read_dataset(path: str, label_column: Optional[str] = None) -> DatasetFile:
         label_index = header.index(label) if label in header else None
         scans = [_ColumnScan(col) for col in range(width) if col != label_index]
         classes: dict[str, None] = {}
-        n_rows = last = 0  # last: the number of the last row read
-        for block in _blocks(reader, path):
-            first, last = last + 1, last + len(block)
-            if _fits(block, width):
-                columns = list(zip(*block))
-                for scan in scans:
-                    scan.see_all(columns[scan.col], first)
-                if label_index is not None:
-                    classes.update(dict.fromkeys(columns[label_index]))
-                n_rows += len(block)
-                continue
-            for rowno, row in enumerate(block, first):
-                if not row:
-                    continue
-                if len(row) != width:
-                    raise _width_error(path, rowno, row, width)
-                n_rows += 1
-                for scan in scans:
-                    scan.see(row[scan.col], rowno)
-                if label_index is not None:
-                    classes.setdefault(row[label_index])
+        n_rows = 0
+        for rownos, block in _data_blocks(reader, path, width):
+            columns = list(zip(*block))
+            for scan in scans:
+                scan.see_all(columns[scan.col], rownos)
+            if label_index is not None:
+                classes.update(dict.fromkeys(columns[label_index]))
+            n_rows += len(block)
     if not n_rows:
         raise DatasetError(f"{path}: no data rows")
     if label_index is None:
@@ -267,25 +255,22 @@ def _replay(dataset: DatasetFile, schema: FeatureSchema) -> Iterator[Instance]:
         reader = csv.reader(fh)
         if next(reader, None) != dataset.header:
             raise DatasetError(f"{path}: header changed since the file was read")
-        last = seq = 0  # last: the number of the last row read
-        for block in _blocks(reader, path):
-            first, last = last + 1, last + len(block)
-            columns = _convert(block, width, converters, numeric)
+        seq = 0
+        for rownos, block in _data_blocks(reader, path, width):
+            columns = _convert(block, converters, numeric)
             if columns is None:
-                seq = yield from _replay_rows(dataset, schema, converters, block, first, seq)
+                seq = yield from _replay_rows(dataset, schema, converters, block, rownos, seq)
             else:
                 ys = columns.pop(label_index)
                 yield from map(Instance, map(list, zip(*columns)), ys, range(seq, seq + len(ys)))
                 seq += len(ys)
 
 
-def _convert(block: list[list[str]], width: int, converters: list,
+def _convert(block: list[list[str]], converters: list,
              numeric: list[int]) -> Optional[list[list]]:
-    """The block's columns converted, one ``map`` per column; None when a row
-    is blank or of another width, a token does not convert or a ``numeric``
-    column holds a value that is not finite."""
-    if not _fits(block, width):
-        return None
+    """The block's columns converted, one ``map`` per column; None when a
+    token does not convert or a ``numeric`` column holds a value that is not
+    finite."""
     try:
         columns = [list(map(convert, column)) for convert, column in zip(converters, zip(*block))]
     except (ValueError, KeyError):
@@ -296,18 +281,14 @@ def _convert(block: list[list[str]], width: int, converters: list,
 
 
 def _replay_rows(dataset: DatasetFile, schema: FeatureSchema, converters: list,
-                 rows: list[list[str]], rowno: int, seq: int):
-    """The instances of ``rows``, numbered from ``rowno``, with ``seq`` from
+                 rows: list[list[str]], rownos: Sequence[int], seq: int):
+    """The instances of ``rows``, numbered ``rownos``, with ``seq`` from
     ``seq``, converted and checked one row at a time; a faulty row raises a
     DatasetError naming it. Returns the next ``seq``."""
-    path, width, label_index = dataset.path, len(dataset.header), dataset.label_index
-    for rowno, row in enumerate(rows, rowno):
-        if not row:
-            continue
-        if len(row) != width:
-            raise _width_error(path, rowno, row, width)
+    path, label_index = dataset.path, dataset.label_index
+    for rowno, row in zip(rownos, rows):
         try:
-            x = list(map(_call, converters, row))
+            x = [convert(token) for convert, token in zip(converters, row)]
         except (ValueError, KeyError):
             raise _conversion_error(dataset, schema, converters, rowno, row) from None
         y = x.pop(label_index)
@@ -450,9 +431,8 @@ def read_trace(path: str) -> MetricTrace:
 
 
 def _read_csv_trace(path: str) -> list[TraceRecord]:
-    """The records of a CSV trace; a faulty row is a ValueError naming it
-    (data rows count from 1)."""
-    width = len(TRACE_COLUMNS)
+    """The records of a CSV trace, blank lines skipped; a faulty row is a
+    ValueError naming it (rows count from 1, blank lines included)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -464,18 +444,17 @@ def _read_csv_trace(path: str) -> list[TraceRecord]:
         if tuple(header) != TRACE_COLUMNS:
             raise ValueError(f"{path}: unexpected trace header {header}")
         records = []
-        for rowno, row in enumerate(chain.from_iterable(_blocks(reader, path)), 1):
-            if len(row) != width:
-                raise _width_error(path, rowno, row, width)
-            try:
-                records.append(TraceRecord(
-                    seq=int(row[0]),
-                    cum_accuracy=float(row[1]),
-                    window_accuracy=float(row[2]),
-                    kappa=float(row[3]),
-                    drift_events=_decode_events(row[4]),
-                    active_learner=None if row[5] == "" else int(row[5]),
-                ))
-            except ValueError as exc:
-                raise ValueError(f"{path}: row {rowno}: {exc}") from None
+        for rownos, block in _data_blocks(reader, path, len(TRACE_COLUMNS)):
+            for rowno, row in zip(rownos, block):
+                try:
+                    records.append(TraceRecord(
+                        seq=int(row[0]),
+                        cum_accuracy=float(row[1]),
+                        window_accuracy=float(row[2]),
+                        kappa=float(row[3]),
+                        drift_events=_decode_events(row[4]),
+                        active_learner=None if row[5] == "" else int(row[5]),
+                    ))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: row {rowno}: {exc}") from None
     return records

@@ -405,6 +405,42 @@ output.format = json
     assert (tmp_path / "stagger.json").exists()
 
 
+def test_run_format_flag_rewrites_the_output_suffix(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "r.cfg", ONLINE_CFG.format(out="r.csv", fmt="csv"))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path), "--format", "json"]) == 0
+    assert capsys.readouterr().out.startswith(f"{tmp_path / 'r.json'}: accuracy=")
+    assert read_trace(str(tmp_path / "r.json")).meta["learner"] == "naive_bayes"
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_run_directory_without_configs_exits_one(tmp_path, capsys):
+    (tmp_path / "notes.txt").write_text("no configs here\n", encoding="utf-8")
+    assert main(["run", "--config", str(tmp_path), "--out", str(tmp_path)]) == 1
+    assert f"config error: no .cfg files in {tmp_path}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lines, fmt, path", [
+    ("output.path = f.csv\noutput.format = json", "json", "f.csv"),
+    ("output.path = f.json\noutput.format = csv", "csv", "f.json"),
+    ("output.path = f.json", "csv", "f.json"),
+    ("output.path = f.txt\noutput.format = json", "json", "f.txt"),
+], ids=["json_to_csv", "csv_to_json", "default_to_json", "json_to_txt"])
+def test_output_format_must_match_the_path_suffix(tmp_path, capsys, lines, fmt, path):
+    # the source's file does not exist: building the source would exit two
+    cfg = write_cfg(tmp_path, "f.cfg", f"""
+experiment = online
+source.kind = csv
+source.path = {tmp_path / "missing.csv"}
+learner.algorithm = naive_bayes
+{lines}
+""")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert (f"config error: output.format = {fmt} does not match output.path = {path}: "
+            f"a trace is JSON if and only if its path ends in .json\n"
+            in capsys.readouterr().err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.cfg"]
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_workers_below_one_exits_one(tmp_path, capsys, workers):
     cfg = write_cfg(tmp_path, "w.cfg", ONLINE_CFG.format(out="w.csv", fmt="csv"))
@@ -530,6 +566,23 @@ def test_summarize_rejects_a_path_that_is_not_a_json_trace(tmp_path, capsys, nam
     (tmp_path / name).write_text(text, encoding="utf-8")
     assert main(["summarize", str(tmp_path), str(tmp_path / name)]) == 2
     assert name in capsys.readouterr().err
+
+
+def test_summarize_out_quotes_a_label_holding_commas(tmp_path, capsys):
+    labels = ("cash:cart_batch(max_depth=4,min_leaf=1)", "nb")
+    for i, learner in enumerate(labels):
+        write_trace(MetricTrace(records=[TraceRecord(seq=9, cum_accuracy=0.8,
+                                                     window_accuracy=0.8, kappa=0.1)],
+                                meta={"learner": learner}), str(tmp_path / f"{i}.json"), "json")
+    out_csv = tmp_path / "table.csv"
+    assert main(["summarize", str(tmp_path), "--out", str(out_csv)]) == 0
+    with open(out_csv, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["learner", "runs", "mean", "median", "min", "max"]
+    assert [row[0] for row in rows[1:]] == list(labels)
+    assert all(len(row) == 6 for row in rows)
+    # a label with no comma keeps the bytes of a plain comma join
+    assert out_csv.read_text().splitlines()[2] == "nb,1,0.8000,0.8000,0.8000,0.8000"
 
 
 def test_summarize_empty_directory_fails(tmp_path):
@@ -802,6 +855,16 @@ output.path = n.csv
      "learner hoeffding_tree: tau must be finite and >= 0"),
     ("online", "learner.algorithm = hoeffding_adaptive_tree\nlearner.params.tau = inf",
      "learner hoeffding_adaptive_tree: tau must be finite and >= 0"),
+    ("online", "learner.algorithm = cart_batch",
+     "online requires an incremental algorithm, got 'cart_batch'"),
+    ("online", "learner.algorithm = naive_bayes\neval.detectors = adwin,page",
+     "eval.detectors: unknown detector 'page'"),
+    ("online", "learner.algorithm = naive_bayes\neval.detectors = adwin,adwin,ddm",
+     "eval.detectors: 'adwin' is listed twice"),
+    ("cash_pretrained", "prefix_size = 30",
+     "cash_pretrained requires at least one cash.space.<algorithm> entry"),
+    ("meta_online", "learner.roster = naive_bayes,cart_batch",
+     "meta_online roster must be incremental, got 'cart_batch'"),
 ], ids=["knn_window.k", "oza_bagging.n_members", "cart_batch.max_depth",
         "meta_online.window", "eval.pretrain", "hoeffding_tree.delta",
         "hoeffding_tree.grace_period", "hoeffding_adaptive_tree.adwin_delta",
@@ -809,7 +872,8 @@ output.path = n.csv
         "cash.epochs", "cash.budget", "cash.prefix_size", "eval.holdout_size",
         "eval.period", "linear_sgd.lr", "perceptron.lr", "linear_svm_batch.lr",
         "hoeffding_tree.tau.negative", "hoeffding_tree.tau.nan",
-        "hoeffding_adaptive_tree.tau.inf"])
+        "hoeffding_adaptive_tree.tau.inf", "online.batch_algorithm", "detectors.unknown",
+        "detectors.repeated", "cash.space.missing", "meta_online.roster.batch"])
 def test_value_rejected_before_first_instance_exits_one(tmp_path, capsys, experiment,
                                                         lines, message):
     data = tmp_path / "d.csv"
@@ -949,9 +1013,12 @@ def test_config_error_inside_a_source_constructor_keeps_its_message(tmp_path, ca
      "family rbf: speed and stddev must be finite and >= 0"),
     (["--family", "rbf", "--param", "stddev=-inf"],
      "family rbf: speed and stddev must be finite and >= 0"),
+    (["--param", "noise"], "--param expects key=value, got 'noise'"),
+    (["--family", "led", "--concept", "1"], "family 'led' has no concept index"),
+    (["--drift-concept", "1"], "--drift-position is required with --drift-concept"),
 ], ids=["noise", "concept", "drift.width", "drift.position", "drift.no_concept",
         "drift.width.no_concept", "hyperplane.noise", "hyperplane.magnitude",
-        "rbf.speed", "rbf.stddev"])
+        "rbf.speed", "rbf.stddev", "param.no_equals", "led.concept", "drift.no_position"])
 def test_generate_constructor_error_exits_one(tmp_path, capsys, args, message):
     out = tmp_path / "g.csv"
     assert main(["generate", "--family", "sea", "--n", "10", "--out", str(out)] + args) == 1

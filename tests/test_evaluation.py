@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -5,8 +6,11 @@ import pytest
 from driftstream.core import ConfusionMatrix
 from driftstream.drift import DDM
 from driftstream.evaluation import evaluate_pretrained, run_holdout, run_prequential
-from driftstream.generators import DriftStream, LimitedStream, SeaGenerator, StaggerGenerator
-from driftstream.learners import CartBatch, MajorityClass, NaiveBayes, train_batch
+from driftstream.generators import (
+    AgrawalGenerator, DriftStream, LimitedStream, SeaGenerator, StaggerGenerator,
+)
+from driftstream.learners import CartBatch, MajorityClass, NaiveBayes, make_learner, train_batch
+from driftstream.stream_io import write_trace
 from conftest import ONE_NUMERIC, ListStream, OracleLearner, ProbeLearner, RuleLearner, labeled_stream
 
 
@@ -245,6 +249,51 @@ def test_holdout_tracks_prequential_on_stationary_stream():
     tail = preq.records[-1].cum_accuracy
     for record in hold.records[2:]:
         assert abs(record.window_accuracy - tail) <= 0.05
+
+
+def _agrawal_holdout(cap, tmp_path):
+    """A holdout run of oza_bagging_adwin over Agrawal switching concept at 1 500:
+    its trace, the trace file's sha256 and the drifts the learner drained."""
+    stream = LimitedStream(DriftStream(AgrawalGenerator(seed=1, concept=0),
+                                       AgrawalGenerator(seed=2, concept=4),
+                                       position=1500, seed=3), cap)
+    learner = make_learner("oza_bagging_adwin", stream.schema, seed=1)
+    drained = []
+    drain = learner.drain_events
+
+    def counting_drain():
+        events = drain()
+        drained.extend(events)
+        return events
+
+    learner.drain_events = counting_drain
+    trace = run_holdout(stream, learner, holdout_size=100, period=450)
+    path = tmp_path / f"{cap}.csv"
+    write_trace(trace, str(path))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    return trace, digest, sum(status == "drift" for _, status in drained)
+
+
+@pytest.mark.parametrize("cap,drifts", [(1900, 19), (2000, 20), (2100, 20)])
+def test_holdout_closing_record_keeps_events_of_a_final_training_stretch(tmp_path, cap,
+                                                                         drifts):
+    # each cap ends inside the training stretch of the fifth cycle (1 800-2 149)
+    trace, _, drained = _agrawal_holdout(cap, tmp_path)
+    assert trace.drift_count() == drained == drifts
+    assert [r.seq for r in trace.records] == [449, 899, 1349, 1799, cap - 1]
+    boundary, _, _ = _agrawal_holdout(1800, tmp_path)
+    assert trace.records[:4] == boundary.records
+    closing = trace.final
+    # no instance was scored after the last cycle's record: its scores carry over
+    assert (closing.cum_accuracy, closing.window_accuracy, closing.kappa) == (
+        boundary.final.cum_accuracy, boundary.final.window_accuracy, boundary.final.kappa)
+
+
+def test_holdout_run_ending_on_a_cycle_boundary_keeps_its_trace(tmp_path):
+    # recorded before the closing record existed
+    trace, digest, drained = _agrawal_holdout(1800, tmp_path)
+    assert digest == "c190a871146eb43ac7726787a1a320ee7066efeb0eaf94dd4c36fe0db8406625"
+    assert trace.drift_count() == drained == 18
 
 
 # -- pretrained -------------------------------------------------------------------

@@ -206,6 +206,16 @@ def test_hyperplane_drift_moves_weights():
     assert gen.weights[2:] == w0[2:]  # only the first n_drift weights move
 
 
+def test_hyperplane_noise_flips_its_share_of_labels():
+    noisy = HyperplaneGenerator(seed=3, magnitude=0.0, noise=0.2)
+    theta = noisy.threshold
+    flipped = 0
+    for _ in range(5000):
+        inst = next(noisy)
+        flipped += inst.y != int(sum(w * v for w, v in zip(noisy.weights, inst.x)) >= theta)
+    assert abs(flipped / 5000 - 0.2) < 0.02
+
+
 # -- rbf ------------------------------------------------------------------------
 
 def test_rbf_degenerate_spread_sits_on_centers():

@@ -293,6 +293,17 @@ def test_malformed_csv_trace_names_path_and_row(tmp_path, body, message):
     assert message in str(err.value)
 
 
+def test_csv_trace_skips_blank_lines_and_counts_them_in_row_numbers(tmp_path):
+    path = tmp_path / "t.csv"
+    write_trace(_trace(), str(path), "csv")
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines[:3] + ["\n"] + lines[3:] + ["\n"]), encoding="utf-8")
+    assert read_trace(str(path)).records == _trace().records
+    path.write_text("".join(lines[:3] + ["\n", "100,0.5,half,0.0,,\n"]), encoding="utf-8")
+    with pytest.raises(ValueError, match=r": row 4: could not convert string to float"):
+        read_trace(str(path))
+
+
 def test_empty_trace_rejected(tmp_path):
     with pytest.raises(ValueError):
         write_trace(MetricTrace(), str(tmp_path / "x.csv"), "csv")
