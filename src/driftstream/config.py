@@ -50,7 +50,7 @@ def parse_config_file(path: str) -> dict[str, str]:
     try:
         with open(path, encoding="utf-8") as fh:
             return parse_config_text(fh.read(), origin=path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
 
 

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
-from ..core import FeatureSchema, Instance, RunningStats
+from ..core import FeatureSchema, Instance, RunningStats, lazy_import
 from .base import BatchLearner, Learner
+
+np = lazy_import("numpy")
 
 _STD_FLOOR = 1e-12
 

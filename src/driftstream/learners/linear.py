@@ -5,10 +5,10 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-import numpy as np
-
-from ..core import Instance, OneHotEncoder
+from ..core import Instance, OneHotEncoder, lazy_import
 from .base import BatchLearner, Learner, argmax_lowest
+
+np = lazy_import("numpy")
 
 
 def sigmoid_minus_target(margin: float, target: float) -> float:

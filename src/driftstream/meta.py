@@ -6,12 +6,12 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .core import FeatureSchema, Instance, RunningStats
+from .core import FeatureSchema, Instance, RunningStats, lazy_import
 from .learners import Learner
 from .learners.base import ensemble_vote
 from .learners.linear import sigmoid_minus_target
+
+np = lazy_import("numpy")
 
 _N_BINS = 10  # equal-width bins when discretizing numerics for entropy/MI
 

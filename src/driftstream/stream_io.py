@@ -47,7 +47,10 @@ def _data_blocks(reader, path: str,
     Blank lines are dropped. A row of another width, or a line the reader
     cannot parse (say, a field over ``csv.field_size_limit()``), ends the rows
     before it with a short block; after that block, where a row-by-row read
-    would meet it, comes a DatasetError naming its row."""
+    would meet it, comes a DatasetError naming its row. Bytes that are not
+    UTF-8 end the rows the same way, with a DatasetError naming the file
+    only: the text decoder reads the file ahead in chunks, so the rows before
+    them in the same chunk are lost with them, and their row is not known."""
     last = 0  # the number of the last line read
     while True:
         block: list[list[str]] = []
@@ -56,6 +59,8 @@ def _data_blocks(reader, path: str,
             block.extend(islice(reader, _BLOCK))  # keeps the rows before an error
         except csv.Error as exc:
             fault = DatasetError(f"{path}: row {last + len(block) + 1}: {exc}")
+        except UnicodeDecodeError as exc:
+            fault = _not_utf8(path, exc)
         else:
             if not block:
                 return
@@ -73,6 +78,23 @@ def _data_blocks(reader, path: str,
             yield rownos, block
         if fault is not None:
             raise fault
+
+
+def _not_utf8(path: str, exc: UnicodeDecodeError) -> DatasetError:
+    """A decoding error naming the file; the codec's position is within a
+    chunk the decoder read, not within the file, so it is left out."""
+    return DatasetError(f"{path}: not UTF-8 text: byte {exc.object[exc.start]:#04x}: "
+                        f"{exc.reason}")
+
+
+def _read_header(reader, path: str) -> Optional[list[str]]:
+    """The first line's fields, or None for an empty file."""
+    try:
+        return next(reader, None)
+    except csv.Error as exc:
+        raise DatasetError(f"{path}: header line: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
 
 
 class _ColumnScan:
@@ -156,12 +178,9 @@ def read_dataset(path: str, label_column: Optional[str] = None) -> DatasetFile:
     in one pass that holds no row."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: empty file") from None
-        except csv.Error as exc:
-            raise DatasetError(f"{path}: header line: {exc}") from None
+        header = _read_header(reader, path)
+        if header is None:
+            raise DatasetError(f"{path}: empty file")
         if not header:
             raise DatasetError(f"{path}: the header line is blank")
         width = len(header)
@@ -253,7 +272,7 @@ def _replay(dataset: DatasetFile, schema: FeatureSchema) -> Iterator[Instance]:
     numeric = [col for f, col in zip(schema.features, dataset.feature_columns) if f.is_numeric]
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        if next(reader, None) != dataset.header:
+        if _read_header(reader, path) != dataset.header:
             raise DatasetError(f"{path}: header changed since the file was read")
         seq = 0
         for rownos, block in _data_blocks(reader, path, width):
@@ -402,27 +421,24 @@ def write_trace(trace: MetricTrace, path: str, format: str = "csv") -> None:
 
 
 def read_trace(path: str) -> MetricTrace:
+    """A CSV or JSON trace, told apart by the ``.json`` suffix. A faulty file
+    is a ValueError naming it, and the row or record at fault."""
     if path.endswith(".json"):
         with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+            try:
+                payload = json.load(fh)
+            except ValueError as exc:  # not UTF-8, or not JSON
+                raise ValueError(f"{path}: {exc}") from None
         version = payload.get("trace_version") if isinstance(payload, dict) else None
         if version != TRACE_VERSION:
             raise ValueError(f"{path}: unsupported trace version {version!r}")
         try:
-            records = [
-                TraceRecord(
-                    seq=r["seq"],
-                    cum_accuracy=r["cum_accuracy"],
-                    window_accuracy=r["window_accuracy"],
-                    kappa=r["kappa"],
-                    drift_events=[tuple(e) for e in r["drift_events"]],
-                    active_learner=r["active_learner"],
-                )
-                for r in payload["records"]
-            ]
+            records = [_json_record(r, i, path) for i, r in enumerate(payload["records"])]
             meta = payload["meta"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"{path}: not a trace: {exc!r}") from None
+        if not isinstance(meta, dict):
+            raise ValueError(f"{path}: meta is {meta!r}, not an object")
     else:
         records, meta = _read_csv_trace(path), {}
     if not records:
@@ -430,15 +446,46 @@ def read_trace(path: str) -> MetricTrace:
     return MetricTrace(records=records, meta=meta)
 
 
+_METRICS = ("cum_accuracy", "window_accuracy", "kappa")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _json_record(r, index: int, path: str) -> TraceRecord:
+    """Record ``index`` of a JSON trace, typed as the CSV reader's conversions
+    imply: an int ``seq``, real metrics, ``[int, str, str]`` drift events and
+    an int or null ``active_learner``. A missing key raises KeyError; a value
+    of another type, a ValueError naming the record."""
+    seq, events, active = r["seq"], r["drift_events"], r["active_learner"]
+    bad_metric = next((key for key in _METRICS if not _is_real(r[key])), None)
+    if not _is_int(seq):
+        problem = f"seq {seq!r} is not an integer"
+    elif bad_metric is not None:
+        problem = f"{bad_metric} {r[bad_metric]!r} is not a number"
+    elif not isinstance(events, list) or not all(
+            isinstance(e, list) and len(e) == 3 and _is_int(e[0])
+            and isinstance(e[1], str) and isinstance(e[2], str) for e in events):
+        problem = f"drift_events {events!r} are not all [seq, detector, status]"
+    elif active is not None and not _is_int(active):
+        problem = f"active_learner {active!r} is not an integer or null"
+    else:
+        return TraceRecord(seq, *(float(r[key]) for key in _METRICS),
+                           [tuple(e) for e in events], active)
+    raise ValueError(f"{path}: record {index}: {problem}")
+
+
 def _read_csv_trace(path: str) -> list[TraceRecord]:
     """The records of a CSV trace, blank lines skipped; a faulty row is a
     ValueError naming it (rows count from 1, blank lines included)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-        except csv.Error as exc:
-            raise ValueError(f"{path}: header line: {exc}") from None
+        header = _read_header(reader, path)
         if header is None:
             raise ValueError(f"{path}: empty file")
         if tuple(header) != TRACE_COLUMNS:

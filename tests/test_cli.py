@@ -568,6 +568,49 @@ def test_summarize_rejects_a_path_that_is_not_a_json_trace(tmp_path, capsys, nam
     assert name in capsys.readouterr().err
 
 
+_RECORD = {"seq": 9, "cum_accuracy": 0.8, "window_accuracy": 0.8, "kappa": 0.1,
+           "drift_events": [[3, "adwin", "drift"]], "active_learner": 1}
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("cum_accuracy", "0.5", "record 1: cum_accuracy '0.5' is not a number"),
+    ("kappa", True, "record 1: kappa True is not a number"),
+    ("seq", "zero", "record 1: seq 'zero' is not an integer"),
+    ("seq", False, "record 1: seq False is not an integer"),
+    ("drift_events", [[1, "x"]],
+     "record 1: drift_events [[1, 'x']] are not all [seq, detector, status]"),
+    ("drift_events", [[1, "adwin", 3]],
+     "record 1: drift_events [[1, 'adwin', 3]] are not all [seq, detector, status]"),
+    ("active_learner", 1.5, "record 1: active_learner 1.5 is not an integer or null"),
+    ("meta", [], "meta is [], not an object"),
+], ids=["metric_string", "metric_bool", "seq_string", "seq_bool", "event_pair",
+        "event_status_int", "active_learner_float", "meta_list"])
+def test_summarize_rejects_a_json_trace_value_of_another_type(tmp_path, capsys, key, value,
+                                                              message):
+    payload = {"trace_version": 1, "meta": {"learner": "nb"},
+               "records": [_RECORD, dict(_RECORD)]}
+    if key == "meta":
+        payload["meta"] = value
+    else:
+        payload["records"][1][key] = value
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["summarize", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_summarize_reads_typed_json_records(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"trace_version": 1, "meta": {"learner": "nb"},
+                                "records": [_RECORD, dict(_RECORD, active_learner=None,
+                                                          cum_accuracy=1)]}),
+                    encoding="utf-8")
+    assert main(["summarize", str(path)]) == 0
+    trace = read_trace(str(path))
+    assert trace.records[0] == TraceRecord(9, 0.8, 0.8, 0.1, [(3, "adwin", "drift")], 1)
+    assert trace.records[1].cum_accuracy == 1.0 and type(trace.records[1].cum_accuracy) is float
+
+
 def test_summarize_out_quotes_a_label_holding_commas(tmp_path, capsys):
     labels = ("cash:cart_batch(max_depth=4,min_leaf=1)", "nb")
     for i, learner in enumerate(labels):
@@ -657,6 +700,14 @@ output.path = x.csv
 
 def test_unreadable_config_exits_one(tmp_path):
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 1
+
+
+def test_config_that_is_not_utf8_exits_one_naming_it(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"experiment = online\nseed = \xff\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"config error: cannot read config {cfg}: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_holdout_with_detectors_exits_one(tmp_path):
@@ -1062,14 +1113,18 @@ def test_none_default_parameter_out_of_range_exits_one(tmp_path, capsys, monkeyp
     assert not (tmp_path / "p.csv").exists()
 
 
-@pytest.mark.parametrize("text, message", [
-    ("\nx,label\n1.0,a\n2.0,b\n", "the header line is blank"),
-    ("x,label\n1.0,a\n" + "7" * 140_000 + ",b\n",
+@pytest.mark.parametrize("data_bytes, message", [
+    (b"\nx,label\n1.0,a\n2.0,b\n", "the header line is blank"),
+    (b"x,label\n1.0,a\n" + b"7" * 140_000 + b",b\n",
      "row 2: field larger than field limit (131072)"),
-], ids=["blank_header", "field_over_limit"])
-def test_run_reports_an_unreadable_csv_with_exit_two(tmp_path, capsys, text, message):
+    (b"x,lab\xffel\n1.0,a\n2.0,b\n", "not UTF-8 text: byte 0xff: invalid start byte"),
+    # past the first decoded chunk and the first blocks of rows
+    (b"x,label\n" + b"".join(b"%d.5,%s\n" % (i, (b"a", b"b")[i % 2]) for i in range(3000))
+     + b"1.0,\xff\n", "not UTF-8 text: byte 0xff: invalid start byte"),
+], ids=["blank_header", "field_over_limit", "not_utf8_header", "not_utf8_row"])
+def test_run_reports_an_unreadable_csv_with_exit_two(tmp_path, capsys, data_bytes, message):
     data = tmp_path / "d.csv"
-    data.write_text(text, encoding="utf-8")
+    data.write_bytes(data_bytes)
     cfg = write_cfg(tmp_path, "b.cfg", f"""
 experiment = online
 source.kind = csv

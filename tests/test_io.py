@@ -304,6 +304,17 @@ def test_csv_trace_skips_blank_lines_and_counts_them_in_row_numbers(tmp_path):
         read_trace(str(path))
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_trace_that_is_not_utf8_names_its_file(tmp_path, fmt):
+    path = tmp_path / f"t.{fmt}"
+    write_trace(_trace(), str(path), fmt)
+    path.write_bytes(path.read_bytes().replace(b"adwin", b"adw\xffn"))
+    with pytest.raises(ValueError) as err:
+        read_trace(str(path))
+    assert str(err.value).startswith(f"{path}: ")
+    assert "byte 0xff" in str(err.value)
+
+
 def test_empty_trace_rejected(tmp_path):
     with pytest.raises(ValueError):
         write_trace(MetricTrace(), str(tmp_path / "x.csv"), "csv")
