@@ -20,17 +20,13 @@ from .generators import GENERATOR_FAMILIES, DriftStream, LimitedStream, make_gen
 from .learners import BATCH_ALGORITHMS, LEARNER_REGISTRY, make_learner, train_batch
 from .meta import MetaEnsemble
 from .stream_io import (
-    TRACE_FORMATS,
     DatasetError,
     infer_schema,
     read_dataset,
-    read_trace,
     replay_csv,
     write_dataset,
     write_trace,
 )
-
-DEFAULT_FORMAT = "csv"
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +267,12 @@ def run_experiment(flat: dict, out_dir: str = ".") -> dict:
     cfg = Config(flat)
     experiment = cfg.get_str("experiment", required=True, choices=tuple(EXPERIMENTS))
     seed = cfg.get_int("seed", default=0)
-    fmt = cfg.get_str("output.format", default=DEFAULT_FORMAT, choices=TRACE_FORMATS)
+    # the trace is CSV: output.format is read, so a config may name its one choice
+    cfg.get_str("output.format", default="csv", choices=("csv",))
     path = cfg.get_str("output.path", required=True)
-    # read_trace tells the formats apart by this suffix alone
-    if (fmt == "json") != path.endswith(".json"):
-        raise ConfigError(f"output.format = {fmt} does not match output.path = {path}: "
-                          f"a trace is JSON if and only if its path ends in .json")
+    if path.endswith(".json"):
+        raise ConfigError(f"output.path = {path}: a trace is CSV, so its path "
+                          f"must not end in .json")
     out_path = os.path.join(out_dir, path)
 
     source, dataset_label = build_source(cfg, seed)
@@ -285,12 +281,14 @@ def run_experiment(flat: dict, out_dir: str = ".") -> dict:
     cfg.reject_unread(experiment)
     trace, learner_label, outputs = run()
     wall = time.perf_counter() - started
-    trace.meta.update(dataset=dataset_label, learner=learner_label,
-                      seed=seed, experiment=experiment)
 
     final = trace.final
     summary = {
+        **trace.meta,  # the protocol, and whether a holdout's last cycle is incomplete
         "config": cfg.used,
+        "dataset": dataset_label,
+        "learner": learner_label,
+        "seed": seed,
         "experiment": experiment,
         "final_cum_accuracy": final.cum_accuracy,
         "final_kappa": final.kappa,
@@ -305,7 +303,7 @@ def run_experiment(flat: dict, out_dir: str = ".") -> dict:
         parent = os.path.dirname(out_path)
         if parent:
             os.makedirs(parent, exist_ok=True)
-        write_trace(trace, out_path, fmt)
+        write_trace(trace, out_path)
         written.append(out_path)
         for suffix, payload in {".summary.json": summary, **outputs}.items():
             with open(stem + suffix, "w", encoding="utf-8") as fh:
@@ -325,17 +323,11 @@ def run_experiment(flat: dict, out_dir: str = ".") -> dict:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def run_config_path(path: str, out_dir: str, seed, fmt) -> dict:
+def run_config_path(path: str, out_dir: str, seed) -> dict:
     flat = parse_config_file(path)
     if seed is not None:
         flat["seed"] = str(seed)
-    if fmt is not None:
-        flat["output.format"] = fmt
-        base = flat.get("output.path")
-        if base:
-            flat["output.path"] = os.path.splitext(base)[0] + "." + fmt
-    flat.setdefault("output.path", os.path.splitext(os.path.basename(path))[0]
-                    + "." + flat.get("output.format", DEFAULT_FORMAT))
+    flat.setdefault("output.path", os.path.splitext(os.path.basename(path))[0] + ".csv")
     return run_experiment(flat, out_dir=out_dir)
 
 
@@ -350,19 +342,8 @@ def cmd_run(args) -> int:
             raise ConfigError(f"no .cfg files in {args.config}")
     else:
         paths = [args.config]
-    if args.workers < 1:
-        raise ConfigError("--workers must be >= 1")
-    if args.workers > 1 and len(paths) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            futures = [
-                pool.submit(run_config_path, p, args.out, args.seed, args.format)
-                for p in paths
-            ]
-            summaries = [f.result() for f in futures]
-    else:
-        summaries = [run_config_path(p, args.out, args.seed, args.format) for p in paths]
-    for summary in summaries:
+    for path in paths:
+        summary = run_config_path(path, args.out, args.seed)
         print(f"{summary['trace_path']}: "
               f"accuracy={summary['final_cum_accuracy']:.4f} "
               f"kappa={summary['final_kappa']:.4f} "
@@ -406,28 +387,40 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _read_summary(path: str) -> tuple[str, float]:
+    """The learner and final cumulative accuracy of a ``*.summary.json``."""
+    if not path.endswith(".summary.json"):
+        raise ValueError(f"{path}: summarize takes run summaries (*.summary.json) only")
+    with open(path, encoding="utf-8") as fh:
+        try:
+            summary = json.load(fh)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(summary, dict):
+        raise ValueError(f"{path}: not a run summary: {type(summary).__name__}, not an object")
+    learner, accuracy = summary.get("learner"), summary.get("final_cum_accuracy")
+    if not isinstance(learner, str):
+        raise ValueError(f"{path}: learner {learner!r} is not a string")
+    if not isinstance(accuracy, (int, float)) or isinstance(accuracy, bool):
+        raise ValueError(f"{path}: final_cum_accuracy {accuracy!r} is not a number")
+    return learner, accuracy
+
+
 def cmd_summarize(args) -> int:
     paths = []
     for target in args.paths:
         if os.path.isdir(target):
-            paths.extend(sorted(
-                os.path.join(target, name)
-                for name in os.listdir(target)
-                if name.endswith(".json") and not name.endswith(".summary.json")
-                and not name.endswith(".leaderboard.json")
-            ))
+            paths.extend(sorted(os.path.join(target, name) for name in os.listdir(target)
+                                if name.endswith(".summary.json")))
         else:
             paths.append(target)
-    # each trace is one run: its final cumulative accuracy, by learner
+    # each summary is one run: its final cumulative accuracy, by learner
     groups: dict[str, list[float]] = {}
     for path in paths:
-        if not path.endswith(".json"):
-            raise ValueError(f"{path}: summarize takes JSON traces only")
-        trace = read_trace(path)
-        groups.setdefault(trace.meta.get("learner", "unknown"), []).append(
-            trace.final.cum_accuracy)
+        learner, accuracy = _read_summary(path)
+        groups.setdefault(learner, []).append(accuracy)
     if not groups:
-        raise ValueError("no JSON traces found to summarize")
+        raise ValueError("no run summaries (*.summary.json) found to summarize")
 
     header = ("learner", "runs", "mean", "median", "min", "max")
     rows = []
@@ -476,8 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="config file or directory of .cfg files")
     p_run.add_argument("--out", default=".", help="output directory for traces")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_run.add_argument("--workers", type=int, default=1)
-    p_run.add_argument("--format", choices=TRACE_FORMATS, default=None)
     p_run.set_defaults(func=cmd_run)
 
     p_gen = sub.add_parser("generate", help="write a synthetic dataset to CSV")
@@ -493,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="extra family parameter as key=value (repeatable)")
     p_gen.set_defaults(func=cmd_generate)
 
-    p_sum = sub.add_parser("summarize", help="aggregate JSON traces by learner, one run each")
+    p_sum = sub.add_parser("summarize", help="aggregate run summaries by learner, one run each")
     p_sum.add_argument("paths", nargs="+")
     p_sum.add_argument("--out", default=None, help="also write the table as CSV")
     p_sum.set_defaults(func=cmd_summarize)

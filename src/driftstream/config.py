@@ -11,7 +11,6 @@ Example::
     learner.params.grace_period = 200
     eval.report_every = 100
     output.path = runs/sea_ht.csv
-    output.format = csv
 
 Lines starting with ``#`` and blank lines are ignored; keys must be unique.
 There are no inline comments: everything after the ``=`` is the value, so a
@@ -98,6 +97,11 @@ class Config:
         return value
 
     def get_list(self, key: str, default: Optional[list[str]] = None) -> Optional[list[str]]:
+        """The comma-separated items; a key given with no value is an empty
+        list, not the default."""
+        if self.flat.get(key) == "":
+            self.used[key] = ""
+            return []
         raw = self._raw(key, default, False)
         if raw is None:
             return default

@@ -201,9 +201,7 @@ class HoeffdingTree(Learner):
 
     def _numeric_best_cut(self, node: _Node, i: int) -> Optional[tuple[float, float]]:
         """Best (gain, threshold) for a numeric feature via gaussian summaries."""
-        per_class = node.num_stats.get(i)
-        if per_class is None:
-            return None
+        per_class = node.num_stats[i]
         lo, hi = node.num_range[i]
         if hi <= lo:
             return None

@@ -17,7 +17,6 @@ a token that does not convert goes row by row, to name the faulty row.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -29,8 +28,6 @@ from .evaluation import MetricTrace, TraceRecord
 from .generators import InstanceStream
 
 TRACE_COLUMNS = ("seq", "cum_accuracy", "window_accuracy", "kappa", "drift", "active_learner")
-TRACE_VERSION = 1
-TRACE_FORMATS = ("csv", "json")
 
 # data rows taken from the CSV reader at a time: one block is what a read holds
 _BLOCK = 256
@@ -380,109 +377,28 @@ def _decode_events(cell: str) -> list[tuple[int, str, str]]:
     return out
 
 
-def write_trace(trace: MetricTrace, path: str, format: str = "csv") -> None:
-    """Serialize a trace; CSV carries the records, JSON adds the meta block."""
+def write_trace(trace: MetricTrace, path: str) -> None:
+    """Serialize a trace's records as CSV, one row per record."""
     if not trace.records:
         raise ValueError("refusing to write an empty trace")
-    if format not in TRACE_FORMATS:
-        raise ValueError(f"unknown trace format {format!r}")
-    if format == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_COLUMNS)
-            for r in trace.records:
-                writer.writerow([
-                    r.seq,
-                    repr(r.cum_accuracy),
-                    repr(r.window_accuracy),
-                    repr(r.kappa),
-                    _encode_events(r.drift_events),
-                    "" if r.active_learner is None else r.active_learner,
-                ])
-    else:
-        payload = {
-            "trace_version": TRACE_VERSION,
-            "meta": trace.meta,
-            "records": [
-                {
-                    "seq": r.seq,
-                    "cum_accuracy": r.cum_accuracy,
-                    "window_accuracy": r.window_accuracy,
-                    "kappa": r.kappa,
-                    "drift_events": [list(e) for e in r.drift_events],
-                    "active_learner": r.active_learner,
-                }
-                for r in trace.records
-            ],
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRACE_COLUMNS)
+        for r in trace.records:
+            writer.writerow([
+                r.seq,
+                repr(r.cum_accuracy),
+                repr(r.window_accuracy),
+                repr(r.kappa),
+                _encode_events(r.drift_events),
+                "" if r.active_learner is None else r.active_learner,
+            ])
 
 
 def read_trace(path: str) -> MetricTrace:
-    """A CSV or JSON trace, told apart by the ``.json`` suffix. A faulty file
-    is a ValueError naming it, and the row or record at fault."""
-    if path.endswith(".json"):
-        with open(path, encoding="utf-8") as fh:
-            try:
-                payload = json.load(fh)
-            except ValueError as exc:  # not UTF-8, or not JSON
-                raise ValueError(f"{path}: {exc}") from None
-        version = payload.get("trace_version") if isinstance(payload, dict) else None
-        if version != TRACE_VERSION:
-            raise ValueError(f"{path}: unsupported trace version {version!r}")
-        try:
-            records = [_json_record(r, i, path) for i, r in enumerate(payload["records"])]
-            meta = payload["meta"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"{path}: not a trace: {exc!r}") from None
-        if not isinstance(meta, dict):
-            raise ValueError(f"{path}: meta is {meta!r}, not an object")
-    else:
-        records, meta = _read_csv_trace(path), {}
-    if not records:
-        raise ValueError(f"{path}: the trace has no records")
-    return MetricTrace(records=records, meta=meta)
-
-
-_METRICS = ("cum_accuracy", "window_accuracy", "kappa")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _json_record(r, index: int, path: str) -> TraceRecord:
-    """Record ``index`` of a JSON trace, typed as the CSV reader's conversions
-    imply: an int ``seq``, real metrics, ``[int, str, str]`` drift events and
-    an int or null ``active_learner``. A missing key raises KeyError; a value
-    of another type, a ValueError naming the record."""
-    seq, events, active = r["seq"], r["drift_events"], r["active_learner"]
-    bad_metric = next((key for key in _METRICS if not _is_real(r[key])), None)
-    if not _is_int(seq):
-        problem = f"seq {seq!r} is not an integer"
-    elif bad_metric is not None:
-        problem = f"{bad_metric} {r[bad_metric]!r} is not a number"
-    elif not isinstance(events, list) or not all(
-            isinstance(e, list) and len(e) == 3 and _is_int(e[0])
-            and isinstance(e[1], str) and isinstance(e[2], str) for e in events):
-        problem = f"drift_events {events!r} are not all [seq, detector, status]"
-    elif active is not None and not _is_int(active):
-        problem = f"active_learner {active!r} is not an integer or null"
-    else:
-        return TraceRecord(seq, *(float(r[key]) for key in _METRICS),
-                           [tuple(e) for e in events], active)
-    raise ValueError(f"{path}: record {index}: {problem}")
-
-
-def _read_csv_trace(path: str) -> list[TraceRecord]:
-    """The records of a CSV trace, blank lines skipped; a faulty row is a
-    ValueError naming it (rows count from 1, blank lines included)."""
+    """A CSV trace's records, blank lines skipped. A faulty file is a
+    ValueError naming it, and the row at fault (rows count from 1, blank
+    lines included)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = _read_header(reader, path)
@@ -504,4 +420,6 @@ def _read_csv_trace(path: str) -> list[TraceRecord]:
                     ))
                 except ValueError as exc:
                     raise ValueError(f"{path}: row {rowno}: {exc}") from None
-    return records
+    if not records:
+        raise ValueError(f"{path}: the trace has no records")
+    return MetricTrace(records=records)

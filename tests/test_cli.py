@@ -15,7 +15,7 @@ import driftstream
 from driftstream.cli import EXPERIMENTS, main, run_experiment
 from driftstream.config import ConfigError, parse_config_text
 from driftstream.core import derive_seed
-from driftstream.evaluation import MetricTrace, TraceRecord, run_holdout
+from driftstream.evaluation import run_holdout
 from driftstream.generators import (
     GENERATOR_FAMILIES,
     LimitedStream,
@@ -44,7 +44,7 @@ source.concept = 0
 source.n = 1500
 learner.algorithm = naive_bayes
 output.path = {out}
-output.format = {fmt}
+output.format = csv
 """
 
 
@@ -66,7 +66,7 @@ def test_parse_config_rejects_bad_lines():
 
 def test_online_run_writes_trace_and_summary(tmp_path):
     cfg = write_cfg(tmp_path, "r.cfg",
-                    ONLINE_CFG.format(out="r.csv", fmt="csv"))
+                    ONLINE_CFG.format(out="r.csv"))
     assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
     trace = read_trace(str(tmp_path / "r.csv"))
     assert trace.records
@@ -107,11 +107,10 @@ source.concept = 0
 source.n = 3000
 prefix_size = 500
 learner.algorithm = cart_batch
-output.path = b.json
-output.format = json
+output.path = b.csv
 """)
     assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
-    trace = read_trace(str(tmp_path / "b.json"))
+    trace = read_trace(str(tmp_path / "b.csv"))
     assert min(r.seq for r in trace.records) >= 500
     assert trace.final.cum_accuracy > 0.95
 
@@ -155,8 +154,7 @@ source.family = sea
 source.n = 300
 prefix_size = 400
 {keys}
-output.path = p.json
-output.format = json
+output.path = p.csv
 """)
     assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "stream ended after 300 of the 400 instances" in capsys.readouterr().err
@@ -174,19 +172,19 @@ prefix_size = 400
 cash.folds = 2
 cash.space.majority_class =
 cash.space.cart_batch.max_depth = 2,5
-output.path = c.json
-output.format = json
+output.path = c.csv
 """)
     assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
     board = json.loads((tmp_path / "c.leaderboard.json").read_text())
     assert len(board["leaderboard"]) == 3
     assert board["best_loss"] == min(e["loss"] for e in board["leaderboard"])
-    trace = read_trace(str(tmp_path / "c.json"))
-    assert trace.meta["learner"].startswith("cash:")
+    summary = json.loads((tmp_path / "c.summary.json").read_text())
+    assert summary["learner"] == f"cash:{board['best']}"
+    assert summary["protocol"] == "pretrained"
 
 
 def test_holdout_run_equals_the_library_run(tmp_path):
-    cfg = write_cfg(tmp_path, "h.cfg", ONLINE_CFG.format(out="h.json", fmt="json").replace(
+    cfg = write_cfg(tmp_path, "h.cfg", ONLINE_CFG.format(out="h.csv").replace(
         "learner.algorithm = naive_bayes", "learner.algorithm = oza_bagging") + """
 eval.protocol = holdout
 eval.holdout_size = 100
@@ -197,10 +195,14 @@ eval.period = 400
                            1500)
     learner = make_learner("oza_bagging", stream.schema, seed=derive_seed(11, "learner"))
     trace = run_holdout(stream, learner, holdout_size=100, period=400)
-    trace.meta.update(dataset="generator:sea", learner="oza_bagging", seed=11,
-                      experiment="online")
-    write_trace(trace, str(tmp_path / "lib.json"), "json")
-    assert (tmp_path / "h.json").read_bytes() == (tmp_path / "lib.json").read_bytes()
+    write_trace(trace, str(tmp_path / "lib.csv"))
+    assert (tmp_path / "h.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+    # 1 500 instances end inside the fourth 400-instance cycle
+    assert trace.meta == {"protocol": "holdout", "incomplete_final_cycle": True}
+    summary = json.loads((tmp_path / "h.summary.json").read_text())
+    assert {key: summary[key] for key in ("dataset", "learner", "seed", "experiment")} == {
+        "dataset": "generator:sea", "learner": "oza_bagging", "seed": 11, "experiment": "online"}
+    assert summary.items() >= trace.meta.items()
 
 
 # Holdout runs on Agrawal with an abrupt switch. The digest of each trace
@@ -311,7 +313,7 @@ output.path = meta.csv
            [(r.seq, r.cum_accuracy, r.window_accuracy, r.kappa) for r in meta.records]
 
 
-def test_topic_source_is_a_csv_alias_that_honours_n(tmp_path):
+def test_csv_source_honours_n(tmp_path):
     rows = ["x,cls"] + [f"{i}.5,{i % 2}" for i in range(400)]
     data = tmp_path / "d.csv"
     data.write_text("\n".join(rows) + "\n", encoding="utf-8")
@@ -321,13 +323,11 @@ source.kind = csv
 source.path = {data}
 source.n = 100
 learner.algorithm = naive_bayes
-output.path = csv.json
-output.format = json
+output.path = csv.csv
 """)
     assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
-    plain = read_trace(str(tmp_path / "csv.json"))
-    assert plain.final.seq == 99
-    assert plain.meta["dataset"] == "csv:d"
+    assert read_trace(str(tmp_path / "csv.csv")).final.seq == 99
+    assert json.loads((tmp_path / "csv.summary.json").read_text())["dataset"] == "csv:d"
 
 
 def test_topic_source_kind_is_a_config_error(tmp_path, capsys):
@@ -350,7 +350,7 @@ output.path = t.csv
 # -- determinism and round-trip -------------------------------------------------------
 
 def test_rerun_is_byte_identical(tmp_path):
-    cfg = write_cfg(tmp_path, "d.cfg", ONLINE_CFG.format(out="d.csv", fmt="csv"))
+    cfg = write_cfg(tmp_path, "d.cfg", ONLINE_CFG.format(out="d.csv"))
     assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
     first = (tmp_path / "d.csv").read_bytes()
     assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -358,7 +358,7 @@ def test_rerun_is_byte_identical(tmp_path):
 
 
 def test_summary_config_reproduces_trace(tmp_path):
-    cfg = write_cfg(tmp_path, "s.cfg", ONLINE_CFG.format(out="s.csv", fmt="csv"))
+    cfg = write_cfg(tmp_path, "s.cfg", ONLINE_CFG.format(out="s.csv"))
     assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
     first = (tmp_path / "s.csv").read_bytes()
     summary = json.loads((tmp_path / "s.summary.json").read_text())
@@ -369,17 +369,17 @@ def test_summary_config_reproduces_trace(tmp_path):
 
 
 def test_summary_config_holds_the_values_the_run_used(tmp_path):
-    cfg = write_cfg(tmp_path, "u.cfg", ONLINE_CFG.format(out="u.csv", fmt="csv"))
+    cfg = write_cfg(tmp_path, "u.cfg", ONLINE_CFG.format(out="u.csv"))
     assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "u.summary.json").read_text())
     assert summary["config"] == dict(
-        parse_config_text(ONLINE_CFG.format(out="u.csv", fmt="csv")),
+        parse_config_text(ONLINE_CFG.format(out="u.csv")),
         **{"eval.protocol": "prequential", "eval.pretrain": "0", "eval.detectors": "",
            "eval.report_every": "100", "eval.window": "200"})
 
 
 def test_seed_override_changes_trace(tmp_path):
-    cfg = write_cfg(tmp_path, "o.cfg", ONLINE_CFG.format(out="o.csv", fmt="csv"))
+    cfg = write_cfg(tmp_path, "o.cfg", ONLINE_CFG.format(out="o.csv"))
     assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
     first = (tmp_path / "o.csv").read_bytes()
     assert main(["run", "--config", cfg, "--out", str(tmp_path), "--seed", "99"]) == 0
@@ -397,20 +397,11 @@ source.kind = generator
 source.family = {fam}
 source.n = 800
 learner.algorithm = naive_bayes
-output.path = {fam}.json
-output.format = json
+output.path = {fam}.csv
 """)
-    assert main(["run", "--config", str(suite), "--out", str(tmp_path), "--workers", "2"]) == 0
-    assert (tmp_path / "sea.json").exists()
-    assert (tmp_path / "stagger.json").exists()
-
-
-def test_run_format_flag_rewrites_the_output_suffix(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "r.cfg", ONLINE_CFG.format(out="r.csv", fmt="csv"))
-    assert main(["run", "--config", cfg, "--out", str(tmp_path), "--format", "json"]) == 0
-    assert capsys.readouterr().out.startswith(f"{tmp_path / 'r.json'}: accuracy=")
-    assert read_trace(str(tmp_path / "r.json")).meta["learner"] == "naive_bayes"
-    assert not (tmp_path / "r.csv").exists()
+    assert main(["run", "--config", str(suite), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "sea.csv").exists()
+    assert (tmp_path / "stagger.csv").exists()
 
 
 def test_run_directory_without_configs_exits_one(tmp_path, capsys):
@@ -419,13 +410,14 @@ def test_run_directory_without_configs_exits_one(tmp_path, capsys):
     assert f"config error: no .cfg files in {tmp_path}\n" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("lines, fmt, path", [
-    ("output.path = f.csv\noutput.format = json", "json", "f.csv"),
-    ("output.path = f.json\noutput.format = csv", "csv", "f.json"),
-    ("output.path = f.json", "csv", "f.json"),
-    ("output.path = f.txt\noutput.format = json", "json", "f.txt"),
-], ids=["json_to_csv", "csv_to_json", "default_to_json", "json_to_txt"])
-def test_output_format_must_match_the_path_suffix(tmp_path, capsys, lines, fmt, path):
+@pytest.mark.parametrize("lines, message", [
+    ("output.path = f.csv\noutput.format = json",
+     "output.format: expected one of ('csv',), got 'json'"),
+    ("output.path = f.json",
+     "output.path = f.json: a trace is CSV, so its path must not end in .json"),
+], ids=["output_format_json", "output_path_json"])
+def test_json_trace_output_exits_one_before_the_source_is_built(tmp_path, capsys, lines,
+                                                                message):
     # the source's file does not exist: building the source would exit two
     cfg = write_cfg(tmp_path, "f.cfg", f"""
 experiment = online
@@ -435,22 +427,12 @@ learner.algorithm = naive_bayes
 {lines}
 """)
     assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
-    assert (f"config error: output.format = {fmt} does not match output.path = {path}: "
-            f"a trace is JSON if and only if its path ends in .json\n"
-            in capsys.readouterr().err)
+    assert f"config error: {message}\n" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f.cfg"]
 
 
-@pytest.mark.parametrize("workers", ["0", "-3"])
-def test_workers_below_one_exits_one(tmp_path, capsys, workers):
-    cfg = write_cfg(tmp_path, "w.cfg", ONLINE_CFG.format(out="w.csv", fmt="csv"))
-    assert main(["run", "--config", cfg, "--out", str(tmp_path), "--workers", workers]) == 1
-    assert "config error: --workers must be >= 1" in capsys.readouterr().err
-    assert not (tmp_path / "w.csv").exists()
-
-
 def test_importing_the_cli_loads_no_process_pool():
-    # only a run of several configs with --workers > 1 needs the pool's modules
+    # runs are single-process: nothing loads the process pool's modules
     code = ("import sys, driftstream.cli; print(sorted(set(sys.modules) & "
             "{'multiprocessing', 'concurrent.futures.process'}))")
     src = os.path.dirname(os.path.dirname(driftstream.__file__))
@@ -503,17 +485,18 @@ def test_generate_with_drift_switches_rule(tmp_path):
 
 # -- summarize / list ---------------------------------------------------------------------
 
-def test_summarize_statistics(tmp_path, capsys):
-    import math
-    from driftstream.evaluation import MetricTrace, TraceRecord
-    from driftstream.stream_io import write_trace
+def _write_summary(path, learner, accuracy, **extra):
+    """A run summary holding what ``summarize`` reads, as ``run`` writes it."""
+    summary = dict(extra, learner=learner, final_cum_accuracy=accuracy)
+    path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
+
+def test_summarize_statistics(tmp_path, capsys):
     for name, acc in (("a", 0.5), ("b", 0.7), ("c", 0.9)):
-        trace = MetricTrace(
-            records=[TraceRecord(seq=99, cum_accuracy=acc, window_accuracy=acc, kappa=0.0)],
-            meta={"dataset": name, "learner": "nb", "seed": 0},
-        )
-        write_trace(trace, str(tmp_path / f"{name}.json"), "json")
+        _write_summary(tmp_path / f"{name}.summary.json", "nb", acc, dataset=name, seed=0)
+    # a run's other outputs in the same directory are not summaries
+    (tmp_path / "a.csv").write_text("not read\n", encoding="utf-8")
+    (tmp_path / "a.leaderboard.json").write_text("{}\n", encoding="utf-8")
     out_csv = str(tmp_path / "summary.csv")
     assert main(["summarize", str(tmp_path), "--out", out_csv]) == 0
     printed = capsys.readouterr().out
@@ -524,26 +507,23 @@ def test_summarize_statistics(tmp_path, capsys):
 
 
 def test_summarize_single_trace_mean_equals_median(tmp_path, capsys):
-    from driftstream.evaluation import MetricTrace, TraceRecord
-    from driftstream.stream_io import write_trace
-
-    trace = MetricTrace(
-        records=[TraceRecord(seq=9, cum_accuracy=0.8, window_accuracy=0.8, kappa=0.1)],
-        meta={"dataset": "only", "learner": "nb", "seed": 0},
-    )
-    write_trace(trace, str(tmp_path / "only.json"), "json")
+    _write_summary(tmp_path / "only.summary.json", "nb", 0.8)
     assert main(["summarize", str(tmp_path)]) == 0
     row = [l for l in capsys.readouterr().out.splitlines() if l.startswith("nb")][0]
     assert row.split()[2] == row.split()[3] == "0.8000"
 
 
 def test_summarize_counts_every_seed_as_a_run(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "nb.cfg", ONLINE_CFG.format(out="nb.json", fmt="json"))
+    # the default output: a CSV trace, named after the config
+    cfg = write_cfg(tmp_path, "nb.cfg", ONLINE_CFG.replace("output.path = {out}\n", ""))
     finals = []
     for seed in (1, 2, 3):
         out = tmp_path / f"seed{seed}"
         assert main(["run", "--config", cfg, "--out", str(out), "--seed", str(seed)]) == 0
-        finals.append(json.loads((out / "nb.summary.json").read_text())["final_cum_accuracy"])
+        assert read_trace(str(out / "nb.csv")).records
+        summary = json.loads((out / "nb.summary.json").read_text())
+        assert (summary["learner"], summary["seed"]) == ("naive_bayes", seed)
+        finals.append(summary["final_cum_accuracy"])
     capsys.readouterr()
     assert main(["summarize", *(str(tmp_path / f"seed{s}") for s in (1, 2, 3))]) == 0
     row = [l for l in capsys.readouterr().out.splitlines() if l.startswith("naive_bayes")]
@@ -551,72 +531,43 @@ def test_summarize_counts_every_seed_as_a_run(tmp_path, capsys):
                                   f"{min(finals):.4f}", f"{max(finals):.4f}"]
 
 
-@pytest.mark.parametrize("name, text", [
-    ("trace.csv", "seq,cum_accuracy,window_accuracy,kappa,drift,active_learner\n"
-                  "99,0.5,0.5,0.0,,\n"),
-    ("notes.json", '{"records": [{"cum_accuracy": 0.5}]}\n'),
-    ("list.json", "[]\n"),
-    ("short.json", '{"trace_version": 1, "records": [{"cum_accuracy": 0.5}], "meta": {}}\n'),
-    ("empty.json", '{"trace_version": 1, "records": [], "meta": {}}\n'),
-], ids=["csv_trace", "no_trace_version", "not_an_object", "record_keys_missing", "no_records"])
-def test_summarize_rejects_a_path_that_is_not_a_json_trace(tmp_path, capsys, name, text):
-    write_trace(MetricTrace(records=[TraceRecord(seq=9, cum_accuracy=0.8, window_accuracy=0.8,
-                                                 kappa=0.1)], meta={"learner": "nb"}),
-                str(tmp_path / "ok.json"), "json")
-    (tmp_path / name).write_text(text, encoding="utf-8")
-    assert main(["summarize", str(tmp_path), str(tmp_path / name)]) == 2
-    assert name in capsys.readouterr().err
+@pytest.mark.parametrize("name, text, message", [
+    ("r.csv", "seq,cum_accuracy,window_accuracy,kappa,drift,active_learner\n99,0.5,0.5,0.0,,\n",
+     "summarize takes run summaries (*.summary.json) only"),
+    ("r.leaderboard.json", "{}\n", "summarize takes run summaries (*.summary.json) only"),
+    ("r.summary.json", '{"learner": "nb",\n', "Expecting"),
+    ("r.summary.json", "[]\n", "not a run summary: list, not an object"),
+    ("r.summary.json", '{"final_cum_accuracy": 0.5}\n', "learner None is not a string"),
+    ("r.summary.json", '{"learner": 3, "final_cum_accuracy": 0.5}\n',
+     "learner 3 is not a string"),
+    ("r.summary.json", '{"learner": "nb"}\n', "final_cum_accuracy None is not a number"),
+    ("r.summary.json", '{"learner": "nb", "final_cum_accuracy": "0.5"}\n',
+     "final_cum_accuracy '0.5' is not a number"),
+    ("r.summary.json", '{"learner": "nb", "final_cum_accuracy": true}\n',
+     "final_cum_accuracy True is not a number"),
+], ids=["csv_trace", "leaderboard", "not_json", "not_an_object", "learner_missing",
+        "learner_int", "accuracy_missing", "accuracy_string", "accuracy_bool"])
+def test_summarize_rejects_a_file_that_is_not_a_run_summary(tmp_path, capsys, name, text,
+                                                            message):
+    _write_summary(tmp_path / "ok.summary.json", "nb", 0.8)
+    path = tmp_path / "bad" / name
+    path.parent.mkdir()
+    path.write_text(text, encoding="utf-8")
+    assert main(["summarize", str(tmp_path), str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and message in err
 
 
-_RECORD = {"seq": 9, "cum_accuracy": 0.8, "window_accuracy": 0.8, "kappa": 0.1,
-           "drift_events": [[3, "adwin", "drift"]], "active_learner": 1}
-
-
-@pytest.mark.parametrize("key, value, message", [
-    ("cum_accuracy", "0.5", "record 1: cum_accuracy '0.5' is not a number"),
-    ("kappa", True, "record 1: kappa True is not a number"),
-    ("seq", "zero", "record 1: seq 'zero' is not an integer"),
-    ("seq", False, "record 1: seq False is not an integer"),
-    ("drift_events", [[1, "x"]],
-     "record 1: drift_events [[1, 'x']] are not all [seq, detector, status]"),
-    ("drift_events", [[1, "adwin", 3]],
-     "record 1: drift_events [[1, 'adwin', 3]] are not all [seq, detector, status]"),
-    ("active_learner", 1.5, "record 1: active_learner 1.5 is not an integer or null"),
-    ("meta", [], "meta is [], not an object"),
-], ids=["metric_string", "metric_bool", "seq_string", "seq_bool", "event_pair",
-        "event_status_int", "active_learner_float", "meta_list"])
-def test_summarize_rejects_a_json_trace_value_of_another_type(tmp_path, capsys, key, value,
-                                                              message):
-    payload = {"trace_version": 1, "meta": {"learner": "nb"},
-               "records": [_RECORD, dict(_RECORD)]}
-    if key == "meta":
-        payload["meta"] = value
-    else:
-        payload["records"][1][key] = value
-    path = tmp_path / "t.json"
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    assert main(["summarize", str(path)]) == 2
-    assert capsys.readouterr().err == f"error: {path}: {message}\n"
-
-
-def test_summarize_reads_typed_json_records(tmp_path, capsys):
-    path = tmp_path / "t.json"
-    path.write_text(json.dumps({"trace_version": 1, "meta": {"learner": "nb"},
-                                "records": [_RECORD, dict(_RECORD, active_learner=None,
-                                                          cum_accuracy=1)]}),
-                    encoding="utf-8")
-    assert main(["summarize", str(path)]) == 0
-    trace = read_trace(str(path))
-    assert trace.records[0] == TraceRecord(9, 0.8, 0.8, 0.1, [(3, "adwin", "drift")], 1)
-    assert trace.records[1].cum_accuracy == 1.0 and type(trace.records[1].cum_accuracy) is float
+def test_summarize_takes_an_integer_accuracy(tmp_path, capsys):
+    _write_summary(tmp_path / "r.summary.json", "nb", 1)
+    assert main(["summarize", str(tmp_path / "r.summary.json")]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split() == ["nb", "1"] + ["1.0000"] * 4
 
 
 def test_summarize_out_quotes_a_label_holding_commas(tmp_path, capsys):
     labels = ("cash:cart_batch(max_depth=4,min_leaf=1)", "nb")
     for i, learner in enumerate(labels):
-        write_trace(MetricTrace(records=[TraceRecord(seq=9, cum_accuracy=0.8,
-                                                     window_accuracy=0.8, kappa=0.1)],
-                                meta={"learner": learner}), str(tmp_path / f"{i}.json"), "json")
+        _write_summary(tmp_path / f"{i}.summary.json", learner, 0.8)
     out_csv = tmp_path / "table.csv"
     assert main(["summarize", str(tmp_path), "--out", str(out_csv)]) == 0
     with open(out_csv, newline="", encoding="utf-8") as fh:
@@ -628,10 +579,11 @@ def test_summarize_out_quotes_a_label_holding_commas(tmp_path, capsys):
     assert out_csv.read_text().splitlines()[2] == "nb,1,0.8000,0.8000,0.8000,0.8000"
 
 
-def test_summarize_empty_directory_fails(tmp_path):
+def test_summarize_empty_directory_fails(tmp_path, capsys):
     empty = tmp_path / "none"
     empty.mkdir()
     assert main(["summarize", str(empty)]) == 2
+    assert "error: no run summaries (*.summary.json) found to summarize" in capsys.readouterr().err
 
 
 def test_list_prints_registries(capsys):
@@ -711,7 +663,7 @@ def test_config_that_is_not_utf8_exits_one_naming_it(tmp_path, capsys):
 
 
 def test_holdout_with_detectors_exits_one(tmp_path):
-    cfg = write_cfg(tmp_path, "h.cfg", ONLINE_CFG.format(out="h.csv", fmt="csv") + """
+    cfg = write_cfg(tmp_path, "h.cfg", ONLINE_CFG.format(out="h.csv") + """
 eval.protocol = holdout
 eval.holdout_size = 100
 eval.period = 500
@@ -722,7 +674,7 @@ eval.detectors = ddm,adwin
 
 
 @pytest.mark.parametrize("body", [
-    ONLINE_CFG.format(out="u.csv", fmt="csv").replace(
+    ONLINE_CFG.format(out="u.csv").replace(
         "learner.algorithm = naive_bayes",
         "learner.algorithm = knn_window\nlearner.params.kk = 3"),
     """
@@ -745,7 +697,7 @@ def test_unknown_learner_parameter_exits_one(tmp_path, capsys, body):
 
 def test_callable_learner_parameter_exits_one(tmp_path, capsys):
     # members are built by the ensemble's own _new_member, not by a constructor parameter
-    cfg = write_cfg(tmp_path, "f.cfg", ONLINE_CFG.format(out="f.csv", fmt="csv").replace(
+    cfg = write_cfg(tmp_path, "f.cfg", ONLINE_CFG.format(out="f.csv").replace(
         "learner.algorithm = naive_bayes",
         "learner.algorithm = oza_bagging\nlearner.params.member_factory = x"))
     assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
@@ -769,7 +721,7 @@ def test_generate_unknown_param_exits_one(tmp_path, capsys):
 ], ids=["learner.algorithm", "learner.roster"])
 def test_unknown_algorithm_exits_one(tmp_path, capsys, line, replacement):
     cfg = write_cfg(tmp_path, "a.cfg",
-                    ONLINE_CFG.format(out="a.csv", fmt="csv").replace(line, replacement))
+                    ONLINE_CFG.format(out="a.csv").replace(line, replacement))
     assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert "unknown algorithm 'naive_bays'" in capsys.readouterr().err
 
@@ -829,7 +781,7 @@ def test_unread_key_exits_one_before_first_instance(tmp_path, capsys, monkeypatc
     data = tmp_path / "d.csv"
     data.write_text("x,label\n" + "".join(f"{i}.0,{'ab'[i % 2]}\n" for i in range(40)),
                     encoding="utf-8")
-    text = ONLINE_CFG.format(out="k.csv", fmt="csv")
+    text = ONLINE_CFG.format(out="k.csv")
     assert old in text
     cfg = write_cfg(tmp_path, "k.cfg", text.replace(old, new.format(data=data)))
     assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
@@ -916,6 +868,8 @@ output.path = n.csv
      "cash_pretrained requires at least one cash.space.<algorithm> entry"),
     ("meta_online", "learner.roster = naive_bayes,cart_batch",
      "meta_online roster must be incremental, got 'cart_batch'"),
+    ("meta_online", "learner.roster =", "meta_online: empty learner roster"),
+    ("meta_online", "learner.roster = ,", "meta_online: empty learner roster"),
 ], ids=["knn_window.k", "oza_bagging.n_members", "cart_batch.max_depth",
         "meta_online.window", "eval.pretrain", "hoeffding_tree.delta",
         "hoeffding_tree.grace_period", "hoeffding_adaptive_tree.adwin_delta",
@@ -924,7 +878,8 @@ output.path = n.csv
         "eval.period", "linear_sgd.lr", "perceptron.lr", "linear_svm_batch.lr",
         "hoeffding_tree.tau.negative", "hoeffding_tree.tau.nan",
         "hoeffding_adaptive_tree.tau.inf", "online.batch_algorithm", "detectors.unknown",
-        "detectors.repeated", "cash.space.missing", "meta_online.roster.batch"])
+        "detectors.repeated", "cash.space.missing", "meta_online.roster.batch",
+        "meta_online.roster.empty", "meta_online.roster.comma"])
 def test_value_rejected_before_first_instance_exits_one(tmp_path, capsys, experiment,
                                                         lines, message):
     data = tmp_path / "d.csv"
@@ -951,7 +906,7 @@ output.path = b.csv
     ("learner.params.delta = false", "learner.params.delta: expected a number, got False"),
 ], ids=["source.noise", "grace_period.float", "grace_period.bool", "delta.bool"])
 def test_value_of_wrong_type_exits_one(tmp_path, capsys, lines, message):
-    cfg = write_cfg(tmp_path, "t.cfg", ONLINE_CFG.format(out="t.csv", fmt="csv").replace(
+    cfg = write_cfg(tmp_path, "t.cfg", ONLINE_CFG.format(out="t.csv").replace(
         "learner.algorithm = naive_bayes", f"learner.algorithm = hoeffding_tree\n{lines}"))
     assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert f"config error: {message}" in capsys.readouterr().err
@@ -978,7 +933,7 @@ def test_int_for_a_float_parameter_runs_as_the_float(tmp_path):
     traces = []
     for name, noise, delta in (("i", "0", "1"), ("f", "0.0", "1.0")):
         cfg = write_cfg(tmp_path, f"{name}.cfg", ONLINE_CFG.format(
-            out=f"{name}.csv", fmt="csv").replace(
+            out=f"{name}.csv").replace(
             "learner.algorithm = naive_bayes",
             f"learner.algorithm = hoeffding_tree\nlearner.params.delta = {delta}\n"
             f"source.noise = {noise}"))
@@ -1029,7 +984,7 @@ def test_source_constructor_error_exits_one_before_first_instance(tmp_path, caps
     from driftstream.generators import HyperplaneGenerator, RbfGenerator, SeaGenerator
     pulls = [_count_pulls(monkeypatch, cls)
              for cls in (SeaGenerator, HyperplaneGenerator, RbfGenerator)]
-    text = ONLINE_CFG.format(out="s.csv", fmt="csv").replace("source.concept = 0\n", "")
+    text = ONLINE_CFG.format(out="s.csv").replace("source.concept = 0\n", "")
     if "source.family" in lines:
         text = text.replace("source.family = sea\n", "")
     cfg = write_cfg(tmp_path, "s.cfg", text + lines + "\n")
@@ -1040,7 +995,7 @@ def test_source_constructor_error_exits_one_before_first_instance(tmp_path, caps
 
 
 def test_config_error_inside_a_source_constructor_keeps_its_message(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "l.cfg", ONLINE_CFG.format(out="l.csv", fmt="csv").replace(
+    cfg = write_cfg(tmp_path, "l.cfg", ONLINE_CFG.format(out="l.csv").replace(
         "source.family = sea\nsource.concept = 0",
         "source.family = led\nsource.drift.concept = 1\nsource.drift.position = 10"))
     assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
@@ -1103,7 +1058,7 @@ def test_none_default_parameter_out_of_range_exits_one(tmp_path, capsys, monkeyp
     from driftstream.generators import SeaGenerator
     pulls = _count_pulls(monkeypatch, SeaGenerator)
     prefix = "\nprefix_size = 200" if experiment == "batch_pretrained" else ""
-    cfg = write_cfg(tmp_path, "p.cfg", ONLINE_CFG.format(out="p.csv", fmt="csv").replace(
+    cfg = write_cfg(tmp_path, "p.cfg", ONLINE_CFG.format(out="p.csv").replace(
         "experiment = online", f"experiment = {experiment}{prefix}").replace(
         "learner.algorithm = naive_bayes",
         f"learner.algorithm = {algorithm}\nlearner.params.{param} = {value}"))
@@ -1118,10 +1073,13 @@ def test_none_default_parameter_out_of_range_exits_one(tmp_path, capsys, monkeyp
     (b"x,label\n1.0,a\n" + b"7" * 140_000 + b",b\n",
      "row 2: field larger than field limit (131072)"),
     (b"x,lab\xffel\n1.0,a\n2.0,b\n", "not UTF-8 text: byte 0xff: invalid start byte"),
+    (b"c,x,label\nred,1.0,a\nred,2.0,b\n", "column 'c' has a single value"),
+    (b"x,label\n1.0,a\n2.0,a\n", "label column has fewer than 2 classes"),
     # past the first decoded chunk and the first blocks of rows
     (b"x,label\n" + b"".join(b"%d.5,%s\n" % (i, (b"a", b"b")[i % 2]) for i in range(3000))
      + b"1.0,\xff\n", "not UTF-8 text: byte 0xff: invalid start byte"),
-], ids=["blank_header", "field_over_limit", "not_utf8_header", "not_utf8_row"])
+], ids=["blank_header", "field_over_limit", "not_utf8_header", "single_category",
+        "single_class", "not_utf8_row"])
 def test_run_reports_an_unreadable_csv_with_exit_two(tmp_path, capsys, data_bytes, message):
     data = tmp_path / "d.csv"
     data.write_bytes(data_bytes)

@@ -76,8 +76,7 @@ def test_import_and_config_parse_load_no_numpy(tmp_path):
 
 
 def test_list_generate_and_summarize_load_no_numpy(tmp_path):
-    run_experiment(dict(parse_config_file(_write(tmp_path, "hat.cfg", HAT_CFG)),
-                        **{"output.path": "hat.json", "output.format": "json"}),
+    run_experiment(parse_config_file(_write(tmp_path, "hat.cfg", HAT_CFG)),
                    out_dir=str(tmp_path))
     code = ("import contextlib, io, sys\n"
             "from driftstream.cli import main\n"
@@ -85,7 +84,7 @@ def test_list_generate_and_summarize_load_no_numpy(tmp_path):
             "    assert main(['list']) == 0\n"
             "    assert main(['generate', '--family', 'sea', '--n', '200', '--seed', '1',\n"
             "                 '--out', sys.argv[1] + '/gen.csv']) == 0\n"
-            "    assert main(['summarize', sys.argv[1] + '/hat.json']) == 0\n"
+            "    assert main(['summarize', sys.argv[1] + '/hat.summary.json']) == 0\n"
             f"print({LOADED})\n")
     assert _fresh(code, str(tmp_path)) == "[]\n"
 

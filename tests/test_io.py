@@ -227,7 +227,7 @@ def _trace(n=10):
 
 def test_csv_trace_has_header_plus_row_per_record(tmp_path):
     path = str(tmp_path / "t.csv")
-    write_trace(_trace(10), path, "csv")
+    write_trace(_trace(10), path)
     lines = Path(path).read_text().strip().splitlines()
     assert len(lines) == 11
     assert lines[0] == "seq,cum_accuracy,window_accuracy,kappa,drift,active_learner"
@@ -236,7 +236,7 @@ def test_csv_trace_has_header_plus_row_per_record(tmp_path):
 def test_csv_round_trip_reproduces_trace(tmp_path):
     path = str(tmp_path / "t.csv")
     trace = _trace(10)
-    write_trace(trace, path, "csv")
+    write_trace(trace, path)
     back = read_trace(path)
     assert [(r.seq, r.cum_accuracy, r.window_accuracy, r.kappa, r.drift_events,
              r.active_learner) for r in back.records] == \
@@ -253,23 +253,12 @@ def test_csv_round_trip_keeps_selector_switches(tmp_path):
     events = [e for r in trace.records for e in r.drift_events]
     assert any(det == "selector" and status.startswith("switch:") for _, det, status in events)
     path = str(tmp_path / "meta.csv")
-    write_trace(trace, path, "csv")
+    write_trace(trace, path)
     back = read_trace(path)
     assert [(r.seq, r.cum_accuracy, r.window_accuracy, r.kappa, r.drift_events,
              r.active_learner) for r in back.records] == \
            [(r.seq, r.cum_accuracy, r.window_accuracy, r.kappa, r.drift_events,
              r.active_learner) for r in trace.records]
-
-
-def test_json_round_trip_keeps_meta(tmp_path):
-    path = str(tmp_path / "t.json")
-    trace = _trace(5)
-    write_trace(trace, path, "json")
-    back = read_trace(path)
-    assert back.meta == trace.meta
-    assert [(r.seq, r.cum_accuracy) for r in back.records] == \
-           [(r.seq, r.cum_accuracy) for r in trace.records]
-    assert back.records[4].drift_events == [(403, "adwin", "drift")]
 
 
 _TRACE_HEADER = "seq,cum_accuracy,window_accuracy,kappa,drift,active_learner\n"
@@ -295,7 +284,7 @@ def test_malformed_csv_trace_names_path_and_row(tmp_path, body, message):
 
 def test_csv_trace_skips_blank_lines_and_counts_them_in_row_numbers(tmp_path):
     path = tmp_path / "t.csv"
-    write_trace(_trace(), str(path), "csv")
+    write_trace(_trace(), str(path))
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     path.write_text("".join(lines[:3] + ["\n"] + lines[3:] + ["\n"]), encoding="utf-8")
     assert read_trace(str(path)).records == _trace().records
@@ -304,10 +293,9 @@ def test_csv_trace_skips_blank_lines_and_counts_them_in_row_numbers(tmp_path):
         read_trace(str(path))
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_trace_that_is_not_utf8_names_its_file(tmp_path, fmt):
-    path = tmp_path / f"t.{fmt}"
-    write_trace(_trace(), str(path), fmt)
+def test_trace_that_is_not_utf8_names_its_file(tmp_path):
+    path = tmp_path / "t.csv"
+    write_trace(_trace(), str(path))
     path.write_bytes(path.read_bytes().replace(b"adwin", b"adw\xffn"))
     with pytest.raises(ValueError) as err:
         read_trace(str(path))
@@ -317,12 +305,7 @@ def test_trace_that_is_not_utf8_names_its_file(tmp_path, fmt):
 
 def test_empty_trace_rejected(tmp_path):
     with pytest.raises(ValueError):
-        write_trace(MetricTrace(), str(tmp_path / "x.csv"), "csv")
-
-
-def test_unknown_format_rejected(tmp_path):
-    with pytest.raises(ValueError):
-        write_trace(_trace(1), str(tmp_path / "x.bin"), "bin")
+        write_trace(MetricTrace(), str(tmp_path / "x.csv"))
 
 
 # -- block reads against the row-by-row reference ------------------------------------

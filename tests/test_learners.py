@@ -387,6 +387,18 @@ def test_cart_single_split_on_separable_points():
     assert all(cart.predict(b.x) == b.y for b in buffer)
 
 
+def test_cart_split_refused_by_min_leaf_leaves_a_leaf():
+    # the best gini cut isolates the one class-1 point: a child below min_leaf = 2
+    buffer = [inst([0.0], 1), inst([1.0], 0), inst([2.0], 0), inst([3.0], 0)]
+    refused, allowed = CartBatch(NUM1, min_leaf=2), CartBatch(NUM1, min_leaf=1)
+    train_batch(refused, buffer)
+    train_batch(allowed, buffer)
+    assert refused.root.is_leaf
+    assert [refused.predict(b.x) for b in buffer] == [0, 0, 0, 0]
+    assert not allowed.root.is_leaf
+    assert [allowed.predict(b.x) for b in buffer] == [1, 0, 0, 0]
+
+
 def test_cart_respects_max_depth():
     rng = random.Random(11)
     buffer = [inst([rng.random()], rng.randrange(2), seq=i) for i in range(200)]

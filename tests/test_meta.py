@@ -246,6 +246,15 @@ def test_cold_start_keeps_first_member_through_window_one():
     assert actives[350] == 1  # expert 1 won window one
 
 
+@pytest.mark.parametrize("mode", ["meta", "last_best"])
+def test_unfitted_active_member_answers_through_the_first_fitted_member(mode):
+    members = [make_learner("naive_bayes", ONE_NUMERIC),
+               RuleLearner(ONE_NUMERIC, lambda x: 1), RuleLearner(ONE_NUMERIC, lambda x: 0)]
+    ens = MetaEnsemble(ONE_NUMERIC, members, mode=mode, window=300)
+    assert ens.active_index == 0 and not members[0].fitted
+    assert [ens.predict([v]) for v in (0.1, 0.5, 0.9)] == [1, 1, 1]
+
+
 def test_last_best_lags_one_window_on_aligned_alternation():
     # concept flips every 300 = one window: the leader always trails by one
     stream = ThresholdConceptStream(3000, duration=300, seed=4)

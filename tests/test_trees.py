@@ -92,6 +92,17 @@ def test_pure_leaf_never_splits():
     assert ht.root.is_leaf
 
 
+def test_split_attempt_with_no_positive_gain_leaves_the_leaf():
+    # each value of either feature sees both classes equally often at every
+    # check, so both gains are exactly zero; with tau above the bound
+    # (eps(R=1, 1e-7, 8) ~ 1.0), a split of any positive gain would be taken
+    ht = HoeffdingTree(TWO_BINARY, grace_period=8, tau=2.0)
+    for i in range(800):
+        ht.partial_fit(inst([float(i % 2), float((i // 2) % 2)], (i // 4) % 2, seq=i))
+    assert ht.root.is_leaf
+    assert ht.root.class_counts == [400, 400]
+
+
 def test_identical_features_tie_breaks_to_lowest_index():
     # gains are exactly tied, so the split waits for eps < tau and picks f0
     ht = HoeffdingTree(TWO_BINARY, grace_period=200)
