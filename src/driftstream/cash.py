@@ -82,16 +82,15 @@ def fold_slices(n: int, k: int) -> list[list[int]]:
 
 
 def fit_candidate(candidate: Candidate, data: Sequence[Instance],
-                  schema: FeatureSchema, seed: int, epochs: int = 1) -> Learner:
-    """Train a fresh learner for a candidate: batch fit, or repeated passes of
+                  schema: FeatureSchema, seed: int) -> Learner:
+    """Train a fresh learner for a candidate: batch fit, or one pass of
     partial_fit for incremental algorithms."""
     learner = make_learner(candidate.algorithm, schema, seed=seed, **candidate.as_kwargs())
     if isinstance(learner, BatchLearner):
-        train_batch(learner, data, epochs)
+        train_batch(learner, data)
     else:
-        for _ in range(epochs):
-            for inst in data:
-                learner.partial_fit(inst)
+        for inst in data:
+            learner.partial_fit(inst)
     return learner
 
 
@@ -102,8 +101,7 @@ def _validation_loss(model: Learner, fold: Sequence[Instance]) -> float:
 
 def cash_search(buffer: Sequence[Instance], schema: FeatureSchema,
                 space: ConfigSpace, folds: int,
-                budget: Optional[int] = None, seed: int = 0,
-                epochs: int = 1) -> CashResult:
+                budget: Optional[int] = None, seed: int = 0) -> CashResult:
     """Exhaustive (or budget-truncated) grid search minimizing mean k-fold
     0-1 loss; ties resolve to the earliest candidate in grid order."""
     buffer = list(buffer)
@@ -128,10 +126,8 @@ def cash_search(buffer: Sequence[Instance], schema: FeatureSchema,
     for rank, candidate in enumerate(candidates):
         losses = []
         for i, (lo, hi) in enumerate(bounds):
-            model = fit_candidate(
-                candidate, buffer[:lo] + buffer[hi:], schema,
-                seed=derive_seed(seed, f"cash:{rank}:{i}"), epochs=epochs,
-            )
+            model = fit_candidate(candidate, buffer[:lo] + buffer[hi:], schema,
+                                  seed=derive_seed(seed, f"cash:{rank}:{i}"))
             losses.append(_validation_loss(model, buffer[lo:hi]))
         leaderboard.append((candidate, sum(losses) / folds))
 
@@ -140,7 +136,7 @@ def cash_search(buffer: Sequence[Instance], schema: FeatureSchema,
         if loss < best_loss:
             best_config, best_loss = candidate, loss
     model = fit_candidate(best_config, buffer, schema,
-                          seed=derive_seed(seed, "cash:final"), epochs=epochs)
+                          seed=derive_seed(seed, "cash:final"))
     model.freeze()
     return CashResult(
         best_config=best_config,

@@ -150,12 +150,11 @@ def _batch_pretrained(cfg: Config, source, seed: int):
     if algorithm not in BATCH_ALGORITHMS:
         raise ConfigError(f"batch_pretrained requires a batch algorithm, got {algorithm!r}")
     prefix_size = cfg.get_int("prefix_size", required=True, low=1)
-    epochs = cfg.get_int("learner.epochs", default=1, low=1)
     learner = _build_learner(cfg, algorithm, source.schema, seed)
     scoring = _scoring(cfg)
 
     def run():
-        train_batch(learner, source.take(prefix_size), epochs=epochs)
+        train_batch(learner, source.take(prefix_size))
         return evaluate_pretrained(source, learner, **scoring), algorithm, {}
     return run
 
@@ -207,7 +206,6 @@ def _cash_pretrained(cfg: Config, source, seed: int):
     prefix_size = cfg.get_int("prefix_size", required=True, low=10 * folds,
                               rule=f"be >= 10 * cash.folds = {10 * folds}")
     budget = cfg.get_int("cash.budget", low=1)
-    epochs = cfg.get_int("cash.epochs", default=1, low=1)
     space = _build_space(cfg)
     # build each candidate once, unused, so a rejected grid value is a
     # config error before the prefix is pulled; the search builds its own
@@ -218,8 +216,7 @@ def _cash_pretrained(cfg: Config, source, seed: int):
 
     def run():
         result = cash_search(source.take(prefix_size), source.schema, space,
-                             folds=folds, budget=budget, seed=derive_seed(seed, "cash"),
-                             epochs=epochs)
+                             folds=folds, budget=budget, seed=derive_seed(seed, "cash"))
         board = {
             "best": result.best_config.label(),
             "best_loss": result.best_loss,
@@ -364,7 +361,9 @@ def cmd_generate(args) -> int:
     params = {key: values[-1] for key, values in
               _read_params(cls, args.family, "--param ", tokens).items()}
     if "concept" in _constructor_params(cls):
-        params.setdefault("concept", args.concept)
+        if "concept" in params:
+            raise ConfigError("--param concept: set the concept with --concept")
+        params["concept"] = args.concept
     elif args.concept != 0:
         raise ConfigError(f"family {args.family!r} has no concept index")
     stream = _construct(f"family {args.family}", make_generator, args.family,

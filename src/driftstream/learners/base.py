@@ -14,22 +14,20 @@ class FrozenLearnerError(RuntimeError):
 
 
 class UntrainedLearnerError(RuntimeError):
-    """predict called before any training sample and without a default class."""
+    """predict called before any training sample."""
 
 
 class UnlabeledInstanceError(ValueError):
     """Training requires a labeled instance."""
 
 
-def check_optional_int(name: str, value, low: int, high: Optional[int] = None) -> None:
+def check_optional_int(name: str, value, low: int) -> None:
     """Raise a ValueError unless ``value`` is None or an int (a bool is not
-    one) in ``[low, high)``; ``high`` None means no upper bound."""
+    one) >= ``low``."""
     if value is None:
         return
-    if (isinstance(value, bool) or not isinstance(value, int) or value < low
-            or (high is not None and value >= high)):
-        span = f">= {low}" if high is None else f"in [{low}, {high})"
-        raise ValueError(f"{name} must be None or an integer {span}, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValueError(f"{name} must be None or an integer >= {low}, got {value!r}")
 
 
 class Learner:
@@ -52,12 +50,9 @@ class Learner:
     algorithm = "base"
     _kept: Optional[tuple[tuple, object]] = None
 
-    def __init__(self, schema: FeatureSchema, seed: int = 0,
-                 default_class: Optional[int] = None):
+    def __init__(self, schema: FeatureSchema, seed: int = 0):
         self.schema = schema
         self.n_classes = schema.n_classes
-        check_optional_int("default_class", default_class, 0, self.n_classes)
-        self.default_class = default_class
         self.fitted = False
         self.frozen = False
         self._rng = random.Random(seed)
@@ -79,8 +74,6 @@ class Learner:
     def predict(self, x: Sequence[float]) -> int:
         self._kept = None
         if not self.fitted:
-            if self.default_class is not None:
-                return self.default_class
             raise UntrainedLearnerError(f"{self.algorithm} has no training samples yet")
         return self._predict(x)
 
@@ -111,26 +104,26 @@ class BatchLearner(Learner):
             f"{self.algorithm} is a batch algorithm; train it with train_batch"
         )
 
-    def fit(self, buffer: Sequence[Instance], epochs: int = 1) -> "Learner":
+    def fit(self, buffer: Sequence[Instance]) -> "Learner":
         if not buffer:
             raise ValueError("empty training buffer")
         for inst in buffer:
             if inst.y is None:
                 raise UnlabeledInstanceError("batch training buffer must be fully labeled")
-        self._fit(list(buffer), epochs)
+        self._fit(list(buffer))
         self.fitted = True
         self.frozen = True
         return self
 
-    def _fit(self, buffer: list[Instance], epochs: int) -> None:
+    def _fit(self, buffer: list[Instance]) -> None:
         raise NotImplementedError
 
 
-def train_batch(learner: BatchLearner, buffer: Sequence[Instance], epochs: int = 1) -> BatchLearner:
+def train_batch(learner: BatchLearner, buffer: Sequence[Instance]) -> BatchLearner:
     """Train a batch learner on a buffer and freeze it."""
     if not isinstance(learner, BatchLearner):
         raise TypeError(f"{learner.algorithm} is not a batch algorithm")
-    learner.fit(buffer, epochs)
+    learner.fit(buffer)
     return learner
 
 
@@ -174,8 +167,8 @@ class MajorityClass(Learner):
 
     algorithm = "majority_class"
 
-    def __init__(self, schema, seed: int = 0, default_class: Optional[int] = None):
-        super().__init__(schema, seed, default_class)
+    def __init__(self, schema, seed: int = 0):
+        super().__init__(schema, seed)
         self.counts = [0] * self.n_classes
 
     def _learn(self, inst: Instance) -> None:

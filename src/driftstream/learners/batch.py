@@ -42,10 +42,9 @@ class CartBatch(BatchLearner):
 
     algorithm = "cart_batch"
 
-    def __init__(self, schema, seed: int = 0, default_class=None,
-                 max_depth: int = 10, min_leaf: int = 1,
+    def __init__(self, schema, seed: int = 0, max_depth: int = 10, min_leaf: int = 1,
                  max_features: Optional[int] = None):
-        super().__init__(schema, seed, default_class)
+        super().__init__(schema, seed)
         if max_depth < 1 or min_leaf < 1:
             raise ValueError("max_depth and min_leaf must be >= 1")
         check_optional_int("max_features", max_features, 1)
@@ -54,7 +53,7 @@ class CartBatch(BatchLearner):
         self.max_features = max_features
         self.root: Optional[_CartNode] = None
 
-    def _fit(self, buffer: list[Instance], epochs: int) -> None:
+    def _fit(self, buffer: list[Instance]) -> None:
         xs = [inst.x for inst in buffer]
         ys = [inst.y for inst in buffer]
         self.root = self._build(xs, ys, depth=0)
@@ -153,10 +152,9 @@ class RandomForestBatch(BatchLearner):
 
     algorithm = "random_forest_batch"
 
-    def __init__(self, schema, seed: int = 0, default_class=None,
-                 n_trees: int = 10, max_depth: int = 10, min_leaf: int = 1,
-                 max_features: Optional[int] = None, bootstrap: bool = True):
-        super().__init__(schema, seed, default_class)
+    def __init__(self, schema, seed: int = 0, n_trees: int = 10, max_depth: int = 10,
+                 min_leaf: int = 1, max_features: Optional[int] = None, bootstrap: bool = True):
+        super().__init__(schema, seed)
         if n_trees < 1:
             raise ValueError("n_trees must be >= 1")
         if max_depth < 1 or min_leaf < 1:
@@ -169,7 +167,7 @@ class RandomForestBatch(BatchLearner):
         self.bootstrap = bootstrap
         self.trees: list[CartBatch] = []
 
-    def _fit(self, buffer: list[Instance], epochs: int) -> None:
+    def _fit(self, buffer: list[Instance]) -> None:
         d = self.schema.n_features
         max_features = self.max_features
         if max_features is None:

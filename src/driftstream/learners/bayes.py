@@ -21,8 +21,8 @@ class NaiveBayes(Learner):
 
     algorithm = "naive_bayes"
 
-    def __init__(self, schema, seed: int = 0, default_class=None):
-        super().__init__(schema, seed, default_class)
+    def __init__(self, schema, seed: int = 0):
+        super().__init__(schema, seed)
         C = self.n_classes
         self.class_counts = [0] * C
         # per class, per numeric feature index -> RunningStats

@@ -17,8 +17,8 @@ class OzaBagging(Learner):
     poisson_lambda = 1.0
     member_adwin = False
 
-    def __init__(self, schema, seed: int = 0, default_class=None, n_members: int = 10):
-        super().__init__(schema, seed, default_class)
+    def __init__(self, schema, seed: int = 0, n_members: int = 10):
+        super().__init__(schema, seed)
         if n_members < 1:
             raise ValueError("n_members must be >= 1")
         self.members = [self._new_member(self._rng.getrandbits(32))
@@ -61,7 +61,7 @@ class OzaBagging(Learner):
             self._keep(x, answers)
         votes = [(pred, 1.0) for pred in answers.values()]
         if not votes:
-            return self.default_class if self.default_class is not None else 0
+            return 0
         return ensemble_vote(votes)
 
 

@@ -103,9 +103,8 @@ class KnnWindow(Learner):
 
     algorithm = "knn_window"
 
-    def __init__(self, schema, seed: int = 0, default_class=None,
-                 k: int = 5, window: int = 1000):
-        super().__init__(schema, seed, default_class)
+    def __init__(self, schema, seed: int = 0, k: int = 5, window: int = 1000):
+        super().__init__(schema, seed)
         if k < 1 or window < 1:
             raise ValueError("k and window must be >= 1")
         self.k = k
@@ -138,12 +137,12 @@ class KnnBatch(BatchLearner, KnnWindow):
 
     algorithm = "knn_batch"
 
-    def __init__(self, schema, seed: int = 0, default_class=None, k: int = 5):
+    def __init__(self, schema, seed: int = 0, k: int = 5):
         if k < 1:
             raise ValueError("k must be >= 1")
-        super().__init__(schema, seed, default_class, k=k, window=1)  # _fit sizes it
+        super().__init__(schema, seed, k=k, window=1)  # _fit sizes it
 
-    def _fit(self, buffer: list[Instance], epochs: int) -> None:
+    def _fit(self, buffer: list[Instance]) -> None:
         self._clear(len(buffer))
         for inst in buffer:
             self._learn(inst)

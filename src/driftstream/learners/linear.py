@@ -24,8 +24,8 @@ class _OvRLinear(Learner):
     and the one update step. Subclasses supply ``_gain``, class c's step
     direction for its margin; a zero gain takes no step."""
 
-    def __init__(self, schema, seed: int = 0, default_class=None, lr: float = 0.01):
-        super().__init__(schema, seed, default_class)
+    def __init__(self, schema, seed: int = 0, lr: float = 0.01):
+        super().__init__(schema, seed)
         if not 0 < lr < math.inf:
             raise ValueError("lr must be finite and > 0")
         self.lr = lr
@@ -96,10 +96,14 @@ class LinearSvmBatch(BatchLearner, LinearSGD):
 
     algorithm = "linear_svm_batch"
 
-    def _fit(self, buffer: list[Instance], epochs: int) -> None:
+    def __init__(self, schema, seed: int = 0, lr: float = 0.01, epochs: int = 1):
+        super().__init__(schema, seed, lr)
         if epochs < 1:
             raise ValueError("epochs must be >= 1")
+        self.epochs = epochs
+
+    def _fit(self, buffer: list[Instance]) -> None:
         encoded = [(self._encode(inst.x), inst.y) for inst in buffer]
-        for _ in range(epochs):
+        for _ in range(self.epochs):
             for v, y in encoded:
                 self._step(v, self.weights @ v + self.bias, y)

@@ -115,10 +115,9 @@ class HoeffdingTree(Learner):
 
     algorithm = "hoeffding_tree"
 
-    def __init__(self, schema, seed: int = 0, default_class=None,
-                 grace_period: int = 200, delta: float = 1e-7, tau: float = 0.05,
-                 max_depth: Optional[int] = None):
-        super().__init__(schema, seed, default_class)
+    def __init__(self, schema, seed: int = 0, grace_period: int = 200, delta: float = 1e-7,
+                 tau: float = 0.05, max_depth: Optional[int] = None):
+        super().__init__(schema, seed)
         if grace_period < 1:
             raise ValueError("grace_period must be >= 1")
         if not 0.0 < delta <= 1.0:
@@ -229,13 +228,10 @@ class HoeffdingTree(Learner):
         return best
 
     def _categorical_gain(self, node: _Node, i: int) -> Optional[float]:
-        table = node.cat_stats.get(i)
-        if table is None:
-            return None
         n = node.total
         h_children = 0.0
         observed = 0
-        for value_counts in table:
+        for value_counts in node.cat_stats[i]:
             n_v = sum(value_counts)
             if n_v > 0:
                 observed += 1
@@ -323,7 +319,7 @@ class HoeffdingTree(Learner):
         walk = self._walk(self.root, x)
         self._keep(x, walk)
         pred = walk[1][0]
-        return (self.default_class or 0) if pred is None else pred
+        return 0 if pred is None else pred
 
     def _walk(self, node: _Node, x: Sequence[float]
               ) -> tuple[list[_Node], list[Optional[int]], Optional[int]]:
@@ -363,10 +359,10 @@ class HoeffdingAdaptiveTree(HoeffdingTree):
 
     algorithm = "hoeffding_adaptive_tree"
 
-    def __init__(self, schema, seed: int = 0, default_class=None,
-                 grace_period: int = 200, delta: float = 1e-7, tau: float = 0.05,
-                 max_depth: Optional[int] = None, adwin_delta: float = 0.002):
-        super().__init__(schema, seed, default_class, grace_period, delta, tau, max_depth)
+    def __init__(self, schema, seed: int = 0, grace_period: int = 200, delta: float = 1e-7,
+                 tau: float = 0.05, max_depth: Optional[int] = None,
+                 adwin_delta: float = 0.002):
+        super().__init__(schema, seed, grace_period, delta, tau, max_depth)
         if not 0.0 < adwin_delta <= 1.0:
             raise ValueError("adwin_delta must be in (0, 1]")
         self.adwin_delta = adwin_delta

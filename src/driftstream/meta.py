@@ -167,8 +167,7 @@ class OnlineSelector:
     accumulates).
     """
 
-    def __init__(self, n_targets: int, lr: float = 0.05):
-        self.n_targets = n_targets
+    def __init__(self, lr: float = 0.05):
         self.lr = lr
         self.weights: dict[int, np.ndarray] = {}
         self.bias: dict[int, float] = {}
@@ -227,8 +226,8 @@ class MetaEnsemble(Learner):
     def __init__(self, schema: FeatureSchema, members: Sequence[Learner],
                  mode: str = "meta", window: int = 300,
                  selector: Optional[OnlineSelector] = None,
-                 alpha: float = 0.99, seed: int = 0, default_class=None):
-        super().__init__(schema, seed, default_class)
+                 alpha: float = 0.99, seed: int = 0):
+        super().__init__(schema, seed)
         if not members:
             raise ValueError("empty learner roster")
         if mode not in self.MODES:
@@ -239,7 +238,7 @@ class MetaEnsemble(Learner):
         self.mode = mode
         self.window_size = window
         self.active_index = 0
-        self.selector = selector if selector is not None else OnlineSelector(len(members))
+        self.selector = selector if selector is not None else OnlineSelector()
         self.perf = PerformanceWeights(len(members), alpha)
         # the tumbling window in flight: its samples and per-member hit counts
         self._samples: list[Instance] = []

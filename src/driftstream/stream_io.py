@@ -210,6 +210,8 @@ def infer_schema(dataset: DatasetFile) -> FeatureSchema:
     Label classes are the distinct label values over the whole file, in
     first-seen order.
     """
+    if not dataset.scans:
+        raise DatasetError(f"{dataset.path}: no feature columns")
     features = []
     for scan in dataset.scans:
         name = dataset.header[scan.col]

@@ -151,13 +151,14 @@ def test_single_config_always_selected():
 
 
 def test_identical_losses_pick_first_in_grid_order():
-    buffer = _counted_buffer()
-    space = ConfigSpace((
-        AlgorithmGrid("majority_class"),
-        AlgorithmGrid("majority_class", {"default_class": [0]}),
-    ))
-    result = cash_search(buffer, ONE_NUMERIC, space, folds=2, seed=0)
-    assert result.leaderboard[0][1] == result.leaderboard[1][1]
+    # one threshold separates the classes, so every fold's depth-1 tree has
+    # pure leaves and the depth-3 tree is the same tree
+    buffer = [inst(i, int(i >= 50), i) for i in range(100)]
+    space = ConfigSpace((AlgorithmGrid("cart_batch", {"max_depth": [1, 3]}),))
+    result = cash_search(buffer, ONE_NUMERIC, space, folds=4, seed=0)
+    assert [c.label() for c, _ in result.leaderboard] == \
+        ["cart_batch(max_depth=1)", "cart_batch(max_depth=3)"]
+    assert result.leaderboard[0][1] == result.leaderboard[1][1] > 0.0
     assert result.best_config is result.leaderboard[0][0]
 
 
@@ -207,7 +208,7 @@ def test_fold_hygiene_no_validation_instance_in_training(monkeypatch):
     class ProbeBatch(BatchLearner):
         algorithm = "probe_batch"
 
-        def _fit(self, buffer, epochs):
+        def _fit(self, buffer):
             trained_sets.append({b.seq for b in buffer})
 
         def _predict(self, x):
@@ -232,8 +233,8 @@ def test_small_buffer_and_bad_folds_rejected():
         cash_search([inst(i, i % 2, i) for i in range(100)], ONE_NUMERIC, space, folds=1)
 
 
-def test_fit_candidate_incremental_multi_epoch():
-    buffer = [inst(i % 2, i % 2, i) for i in range(40)]
-    model = fit_candidate(Candidate("linear_sgd"), buffer, ONE_NUMERIC, seed=0, epochs=3)
-    assert model.predict([1.0]) == 1
-    assert model.predict([0.0]) == 0
+
+def test_fit_candidate_trains_an_incremental_learner_in_one_pass():
+    buffer = _counted_buffer()
+    model = fit_candidate(Candidate("majority_class"), buffer, ONE_NUMERIC, seed=0)
+    assert model.counts == [66, 34]

@@ -57,12 +57,9 @@ def test_majority_class_counts():
 
 
 def test_untrained_predict_raises_without_default():
-    with pytest.raises(UntrainedLearnerError):
-        MajorityClass(NUM1).predict([0.0])
-
-
-def test_untrained_predict_uses_default_class():
-    assert MajorityClass(NUM1, default_class=1).predict([0.0]) == 1
+    for name in sorted(LEARNER_REGISTRY):
+        with pytest.raises(UntrainedLearnerError, match=f"{name} has no training samples yet"):
+            make_learner(name, NUM1).predict([0.0])
 
 
 def test_partial_fit_requires_label():
@@ -93,15 +90,6 @@ def test_registry_covers_expected_roster():
 def test_make_learner_unknown_name():
     with pytest.raises(ValueError):
         make_learner("nope", NUM1)
-
-
-@pytest.mark.parametrize("name", sorted(LEARNER_REGISTRY))
-@pytest.mark.parametrize("default_class", [-1, 2, True, 1.0, "1"])
-def test_default_class_must_be_none_or_a_class_index(name, default_class):
-    with pytest.raises(ValueError, match=r"default_class must be None or an integer in \[0, 2\)"):
-        make_learner(name, NUM1, default_class=default_class)
-    assert make_learner(name, NUM1, default_class=1).default_class == 1
-    assert make_learner(name, NUM1, default_class=None).default_class is None
 
 
 @pytest.mark.parametrize("cls, param", [
@@ -273,12 +261,13 @@ def _fresh_stats():
 @pytest.mark.parametrize("k,window", [(1, 7), (3, 7), (7, 7), (10, 7), (5, 1), (2, 40)])
 def test_knn_window_matches_scalar_reference(k, window):
     rng = random.Random(100 + 10 * k + window)
-    knn = KnnWindow(GOLDEN, k=k, window=window, default_class=2)
-    assert knn.predict(_golden_row(rng)) == 2  # untrained: the default class
+    knn = KnnWindow(GOLDEN, k=k, window=window)
+    with pytest.raises(UntrainedLearnerError):
+        knn.predict(_golden_row(rng))
     rows, stats = deque(maxlen=window), _fresh_stats()
     for step in range(400):  # the window wraps many times
         x, y = _golden_row(rng), rng.randrange(3)
-        if rows:
+        if knn.fitted:
             std = _floored_std(stats)
             assert knn.predict(x) == _scalar_knn(rows, x, std, k, 3), step
             # bit for bit: a row-wise numpy sum would round differently
@@ -296,7 +285,8 @@ def test_knn_window_matches_scalar_reference(k, window):
 @pytest.mark.parametrize("k", [1, 4, 30, 45])
 def test_knn_batch_matches_scalar_reference(k):
     rng = random.Random(200 + k)
-    assert KnnBatch(GOLDEN, k=k, default_class=1).predict(_golden_row(rng)) == 1
+    with pytest.raises(UntrainedLearnerError):
+        KnnBatch(GOLDEN, k=k).predict(_golden_row(rng))
     buffer = [inst(_golden_row(rng), rng.randrange(3), seq=i) for i in range(30)]
     knn = train_batch(KnnBatch(GOLDEN, k=k), buffer)
     stats = _fresh_stats()
@@ -426,8 +416,8 @@ def test_forest_degenerates_to_cart():
 
 def test_linear_svm_batch_separates():
     buffer = [inst([float(i < 25)], int(i < 25), seq=i) for i in range(50)]
-    svm = LinearSvmBatch(NUM1)
-    train_batch(svm, buffer, epochs=5)
+    svm = LinearSvmBatch(NUM1, epochs=5)
+    train_batch(svm, buffer)
     assert svm.predict([1.0]) == 1
     assert svm.predict([0.0]) == 0
 
@@ -491,10 +481,11 @@ _LINEAR_PINS = {
 @pytest.mark.parametrize("algorithm,family", sorted(_LINEAR_PINS))
 def test_linear_weights_and_predictions_are_pinned(algorithm, family):
     schema, train, probes = _pin_stream(family)
-    lin = make_learner(algorithm, schema, lr=0.05)
+    epochs = {"epochs": 3} if algorithm == "linear_svm_batch" else {}
+    lin = make_learner(algorithm, schema, lr=0.05, **epochs)
     preds = []
     if algorithm == "linear_svm_batch":
-        train_batch(lin, train, epochs=3)
+        train_batch(lin, train)
     else:
         for b in train:  # prequential: predict, then learn from the same x
             preds.append(lin.predict(b.x) if lin.fitted else None)

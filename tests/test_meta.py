@@ -399,7 +399,7 @@ def test_weighted_vote_follows_reliable_member():
 
 def test_online_selector_learns_separable_mapping():
     rng = random.Random(10)
-    sel = OnlineSelector(2)
+    sel = OnlineSelector()
     for _ in range(300):
         cls = rng.randrange(2)
         base = [1.0, 5.0] if cls == 0 else [5.0, 1.0]
@@ -440,19 +440,20 @@ def test_each_member_predicts_once_per_step(mode):
     schema = SeaGenerator.schema
     counts = [0, 0, 0, 0]
     ens = MetaEnsemble(schema, _counted_roster(schema, counts), mode=mode, window=40,
-                       seed=3, default_class=0)
+                       seed=3)
     # The reference asks every member again in partial_fit: a predict on
     # another x between predict and partial_fit leaves nothing to reuse.
     ref = MetaEnsemble(schema, _counted_roster(schema, None), mode=mode, window=40,
-                       seed=3, default_class=0)
+                       seed=3)
     got, want = [], []
     for step, inst in enumerate(LimitedStream(SeaGenerator(seed=21), 400)):
         counts[:] = [0, 0, 0, 0]
-        got.append((ens.predict(inst.x), ens.active_index))
+        if ens.fitted:
+            got.append((ens.predict(inst.x), ens.active_index))
+            want.append((ref.predict(inst.x), ref.active_index))
+            ref.predict([v + 1.0 for v in inst.x])
         ens.partial_fit(inst)
         assert counts == ([0, 0, 0, 0] if step == 0 else [1, 1, 1, 1]), step
-        want.append((ref.predict(inst.x), ref.active_index))
-        ref.predict([v + 1.0 for v in inst.x])
         ref.partial_fit(inst)
     assert got == want
     if mode == "meta":
