@@ -92,6 +92,16 @@ def test_make_learner_unknown_name():
         make_learner("nope", NUM1)
 
 
+@pytest.mark.parametrize("name", sorted(LEARNER_REGISTRY))
+@pytest.mark.parametrize("default_class", [-1, 2, True, 1.0, "1"])
+def test_default_class_must_be_none_or_a_class_index(name, default_class):
+    # default_class is no longer a parameter: every value, in range or not, is refused.
+    for value in (default_class, 0, 1, None):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'default_class'"):
+            make_learner(name, NUM1, default_class=value)
+    assert not hasattr(make_learner(name, NUM1), "default_class")
+
+
 @pytest.mark.parametrize("cls, param", [
     (HoeffdingTree, "max_depth"), (CartBatch, "max_features"),
     (RandomForestBatch, "max_features"),
