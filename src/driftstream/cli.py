@@ -356,9 +356,11 @@ def cmd_generate(args) -> int:
         key, _, value = item.partition("=")
         if not _:
             raise ConfigError(f"--param expects key=value, got {item!r}")
-        tokens.setdefault(key, []).append(value)
+        if key in tokens:
+            raise ConfigError(f"--param {key}: given more than once")
+        tokens[key] = [value]
     cls = GENERATOR_FAMILIES[args.family]
-    params = {key: values[-1] for key, values in
+    params = {key: value for key, (value,) in
               _read_params(cls, args.family, "--param ", tokens).items()}
     if "concept" in _constructor_params(cls):
         if "concept" in params:

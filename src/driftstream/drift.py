@@ -165,8 +165,8 @@ class EDDM:
         return STABLE
 
 
-# Rounding allowance of the quiet-period rules: as a share of the window in
-# their margin, and as is on the window mean (see Adwin._has_cut).
+# Rounding allowance of the safe-interval rules, as a share of the window
+# (see Adwin).
 _MARGIN = 1e-9
 
 
@@ -174,14 +174,47 @@ class Adwin:
     """Adaptive windowing over a [0, 1] stream with an exponential histogram.
 
     The window is held as buckets of exponentially growing size (at most
-    ``max_buckets`` per size level, one deque per level). After each insert
-    the bucket boundaries are scanned oldest first as cut points; if the two
+    ``max_buckets`` per size level, one deque per level). After an insert the
+    bucket boundaries are scanned oldest first as cut points; if the two
     sides' means differ by at least the epsilon-cut bound the oldest bucket is
     dropped and the scan repeats, so the window shrinks to the suffix
-    consistent with the current mean. A scan that finds no cut also works out
-    how many of the next inserts cannot bring any boundary to the bound, and
-    those inserts skip the scan (``_has_cut``): every decision is the one a
-    scan after every insert would make.
+    consistent with the current mean.
+
+    A scan that finds no cut leaves a safe interval (``_lo``, ``_hi``) for the
+    window mean p, and an insert that keeps p strictly inside it skips the
+    scan: every decision is still the one a scan after every insert would
+    make. Take a boundary with n0 older items (sum s0) and n1 newer ones (sum
+    s1) in a window of w items, and let D = s0 - n0*p = n1*p - s1, which is
+    diff*n0*n1/w. The scan's exact test is D^2 >= T^2 with
+    T^2 = log_term*n0*n1/(2w), so the boundary cannot cut while p is in
+    ((s0 - T)/n0, (s0 + T)/n0). Such an interval stays valid because:
+
+    - for a fixed boundary, T grows with w, since n1/w and log_term do;
+    - inserts and merges keep the (n0, s0) of every boundary that survives;
+    - s1 is in [0, n1], so |D| <= n1*max(p, 1 - p): no boundary with n1 <= c
+      can cut while max(p, 1 - p) <= q, where c is the largest integer below
+      log_term*w/(2w*q^2 + log_term);
+    - c also grows with w.
+
+    So a scan tests the boundaries with n1 above ``_join`` =
+    max(c, min_side - 1) and n0 >= min_side, and intersects their intervals
+    with (1 - q', q'), where q' = max(p, 1 - p) + 2*log_term/w and
+    q = min(1, q'). The newer boundaries cannot cut now; they wait in
+    ``_pending`` with the boundary each later insert makes, and each joins
+    the interval when its n1 exceeds ``_join``, with T at that width and the
+    scan's smaller log_term. A boundary that a merge removed may still narrow
+    the interval, which costs only a scan. The interval is empty after a
+    reset and after a scan that finds a cut.
+
+    The proof holds for exact sums; the scan reads float ones. Every sum
+    (``total``, a bucket sum, s0) is at most w, and each addition that builds
+    it rounds by at most 2^-53 * w. So the intervals keep a margin
+    eta = 1e-9 * w in D, and c one through |D| <= n1*q*(1 + eta), which is at
+    least n1*q + eta/2 for n1 >= 1 and q >= 1/2. Even eta/2 exceeds the
+    rounding of 4 * 10^6 additions; the drift of ``total`` over a whole run,
+    a random walk of such roundings, would take some 10^13 updates to reach
+    it. The margin also covers the rounding in evaluating the rules, and
+    with 0/1 inputs every sum is an exact integer.
     """
 
     input_kind = "correctness"
@@ -205,7 +238,11 @@ class Adwin:
         self.width = 0
         self.total = 0.0
         self.n_detections = 0
-        self._quiet = 0  # inserts left that skip the scan
+        # the safe interval, empty until a scan finds no cut (see above)
+        self._lo, self._hi = 1.0, 0.0
+        self._pending: deque[tuple[int, float]] = deque()  # (n0, s0), oldest first
+        self._join = 0
+        self._half_log = 0.0  # the last scan's log_term / 2
 
     @property
     def mean(self) -> float:
@@ -217,8 +254,8 @@ class Adwin:
         levels = self._levels
         buckets = levels[0]
         buckets.append(x)
-        self.width += 1
-        self.total += x
+        self.width = w = self.width + 1
+        self.total = s = self.total + x
         level = 0
         while len(buckets) > self.max_buckets:
             if level + 1 == len(levels):
@@ -226,10 +263,20 @@ class Adwin:
             levels[level + 1].append(buckets.popleft() + buckets.popleft())
             level += 1
             buckets = levels[level]
-        if self._quiet:
-            self._quiet -= 1
-            return STABLE
-        if self.width < self.min_window:
+        # the boundary after x (n1 = 0 now); the pending n1 are distinct and at
+        # most _join, so this insert brings at most the oldest one above it
+        pending = self._pending
+        pending.append((w, s))
+        n0, s0 = pending[0]
+        if w - n0 > self._join:
+            pending.popleft()
+            if n0 >= self.min_side:
+                t = math.sqrt(self._half_log * n0 * (w - n0) / w) - _MARGIN * w
+                if (s0 - t) / n0 > self._lo:
+                    self._lo = (s0 - t) / n0
+                if (s0 + t) / n0 < self._hi:
+                    self._hi = (s0 + t) / n0
+        if self._lo < s / w < self._hi or w < self.min_window:
             return STABLE
         return DRIFT if self._shrink() else STABLE
 
@@ -244,67 +291,20 @@ class Adwin:
     def _has_cut(self) -> bool:
         """Whether some bucket boundary splits the window into two sides, each
         of at least ``min_side`` items, whose means differ by the cut bound.
-
-        When none does, ``_quiet`` becomes a count k of inserts after which
-        no boundary can have reached the bound. Take a boundary with n0 older
-        items (prefix sum s0) and n1 newer ones (sum s1), let p = s/w be the
-        window mean and D = s0 - n0*p = n1*p - s1, which is diff*n0*n1/w. The
-        exact test below is then D^2 >= T^2 with T^2 = log_term*n0*n1/(2w).
-        Since s1 is in [0, n1], D is in [-n1*(1 - p), n1*p], so
-        |D| <= n1*max(p, 1 - p). Inserts and merges keep each surviving
-        boundary's n0 and s0 (merges only remove boundaries); one insert of x
-        in [0, 1] into a window of w' items with mean p' moves D by
-        n0*(p' - x)/(w' + 1), whose size is below n0*max(p', 1 - p')/w; and T
-        never falls, since n1/w and log_term only grow. The quiet period
-        below is c < log_term/(2*q^2) <= 2*log_term inserts long, so over it
-        the mean moves by less than 2*log_term/w, and
-        q = min(1, max(p, 1 - p) + 2*log_term/w + rho) bounds max(p', 1 - p')
-        throughout it (rho = 1e-9 covers the rounding of the computed p). So:
-
-        - slack rule: a boundary with |D| + k*n0*q/w < T stays uncut for k
-          inserts;
-        - structural rule: |D| <= n1*q, so no boundary with n1 <= c can cut,
-          where c is the largest integer below log_term*w/(2w*q^2 + log_term),
-          and c only grows. That covers the boundaries the next k <= c
-          inserts make, and those with n1 + k <= c now.
-
-        k starts at c and falls until every other boundary with
-        n0 >= min_side passes the slack rule, including those whose newer
-        side is still below ``min_side``.
-
-        Before the exact test, each boundary takes a pre-test free of
-        divisions: with k the count so far, (|s0 - n0*p| + k*n0*q/w + 2*eta)^2
-        < T^2 skips the boundary. That is the slack rule (with k = 0, the
-        test for a cut now) multiplied through by n0*n1/w: one eta is the
-        rule's own margin, the other covers the rounding of both evaluations.
-        So a skipped boundary is one the exact code would also pass over, and
-        the pre-test changes no decision and no ``_quiet``.
-
-        The proof holds for exact sums; the scan reads float ones. Every sum
-        here (``total``, a bucket sum, s0) is at most w' <= w + 2*log_term,
-        the largest window the quiet period reaches, and each addition that
-        builds it rounds by at most 2^-53 * w'. So both rules keep a margin
-        eta = 1e-9 * w' in D (in c, through |D| <= n1*q*(1 + eta), which is
-        at least n1*q + eta/2 for n1 >= 1 and q >= 1/2). Even eta/2 exceeds
-        the rounding of 4 * 10^6 such additions, where a scan's prefix sum
-        makes one per bucket and the k inserts one each in ``total``; the
-        drift of ``total`` over a whole run, a random walk of such roundings,
-        would take some 10^13 updates to reach it. The margin also covers the
-        rounding in evaluating the rules. With 0/1 inputs every sum is an
-        exact integer.
-        """
+        When none does, set the safe interval (see the class docstring)."""
         w, s, min_side = self.width, self.total, self.min_side
         p = s / w
         log_term = math.log(4.0 * w / self.delta)
         log_w = log_term * w
-        q = min(1.0, max(p, 1.0 - p) + 2.0 * log_term / w + _MARGIN)
-        eta = _MARGIN * (w + 2.0 * log_term)
-        eta_w = eta * w
-        eta2 = 2.0 * eta
-        half_t2 = log_term / (2.0 * w)  # T^2 = half_t2 * n0 * n1
-        c = math.ceil(log_w / (2.0 * w * (q * (1.0 + eta)) ** 2 + log_term)) - 1
-        quiet = c
-        slope = quiet * q / w  # D moves by less than n0 * slope in the quiet period
+        half_log = 0.5 * log_term
+        eta = _MARGIN * w
+        q = max(p, 1.0 - p) + 2.0 * log_term / w
+        c = math.ceil(log_w / (2.0 * w * (min(1.0, q) * (1.0 + eta)) ** 2 + log_term)) - 1
+        join = max(c, min_side - 1)
+        lo, hi = 1.0 - q, q
+        pending = self._pending
+        pending.clear()
+        self._lo, self._hi = 1.0, 0.0
         n0, s0 = 0, 0.0
         size = 1 << len(self._levels)
         for buckets in reversed(self._levels):
@@ -313,37 +313,26 @@ class Adwin:
                 n0 += size
                 s0 += bucket_sum
                 n1 = w - n0
-                if n1 < min_side and (not quiet or n1 + quiet <= c):
-                    # n1 only falls from here on: no later boundary is
-                    # tested now, and each is inside the structural rule
-                    self._quiet = quiet
-                    return False
-                if n0 < min_side:
-                    continue
-                pre = abs(s0 - n0 * p) + n0 * slope + eta2
-                if pre * pre < half_t2 * n0 * n1:
-                    continue
-                diff = s0 / n0 - (s - s0) / n1
-                # compare squared means against eps_cut^2 = log_term/(2m)
-                bound = log_w / (2.0 * n0 * n1)
-                if quiet and n1 + quiet > c:
-                    # the slack rule divided by n0*n1/w, which also rules
-                    # out a cut now: |diff| + (k*q + eta*w/n0)/n1 < eps_cut
-                    gap = abs(diff) + (quiet * q + eta_w / n0) / n1
-                    if gap * gap < bound:
-                        continue
-                    room = ((math.sqrt(bound) - abs(diff)) * n1 - eta_w / n0) / q
-                    quiet = max(0, c - n1, math.ceil(room) - 1)
-                    slope = quiet * q / w
-                if n1 >= min_side and diff * diff >= bound:
-                    return True
-        raise AssertionError(
-            "ADWIN cut scan ended without reaching its newest boundary: n1 = 0 is "
-            "below min_side >= 1 and the quiet count never exceeds c, so it returns")
+                if n1 <= join:
+                    pending.append((n0, s0))
+                elif n0 >= min_side:
+                    diff = s0 / n0 - (s - s0) / n1
+                    # compare squared means against eps_cut^2 = log_term/(2m)
+                    if diff * diff >= log_w / (2.0 * n0 * n1):
+                        return True
+                    t = math.sqrt(half_log * n0 * n1 / w) - eta
+                    if (s0 - t) / n0 > lo:
+                        lo = (s0 - t) / n0
+                    if (s0 + t) / n0 < hi:
+                        hi = (s0 + t) / n0
+        self._lo, self._hi = lo, hi
+        self._join, self._half_log = join, half_log
+        return False
 
     def _shrink(self) -> bool:
-        """Drop oldest buckets while a cut exists. A drop leaves ``_quiet`` at
-        0; the scan of the shrunk window that finds no cut sets it again."""
+        """Drop oldest buckets while a cut exists. A scan that finds a cut
+        leaves the safe interval empty, so the next insert scans again unless
+        a scan of the shrunk window sets it."""
         dropped = False
         while self.width >= self.min_window and self._has_cut():
             self._drop_oldest()

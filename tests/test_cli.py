@@ -1046,10 +1046,11 @@ def test_config_error_inside_a_source_constructor_keeps_its_message(tmp_path, ca
     (["--drift-concept", "1"], "--drift-position is required with --drift-concept"),
     (["--concept", "0", "--param", "concept=2"],
      "--param concept: set the concept with --concept"),
+    (["--param", "noise=0.5", "--param", "noise=0.0"], "--param noise: given more than once"),
 ], ids=["noise", "concept", "drift.width", "drift.position", "drift.no_concept",
         "drift.width.no_concept", "hyperplane.noise", "hyperplane.magnitude",
         "rbf.speed", "rbf.stddev", "param.no_equals", "led.concept", "drift.no_position",
-        "param.concept"])
+        "param.concept", "param.repeated"])
 def test_generate_constructor_error_exits_one(tmp_path, capsys, args, message):
     out = tmp_path / "g.csv"
     assert main(["generate", "--family", "sea", "--n", "10", "--out", str(out)] + args) == 1

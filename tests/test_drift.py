@@ -321,10 +321,10 @@ def test_adwin_golden_sequences(name):
     assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == digest
 
 
-# -- ADWIN quiet period: the scan it skips would find no cut -------------------------
+# -- ADWIN safe interval: the scan it skips would find no cut ------------------------
 
 def reference_has_cut(self) -> bool:
-    """The cut scan as it ran after every insert, before the quiet period."""
+    """The cut scan as it ran after every insert, before any scan was skipped."""
     w, s, min_side = self.width, self.total, self.min_side
     log_term = math.log(4.0 * w / self.delta)
     n0, s0 = 0, 0.0
@@ -347,7 +347,7 @@ def reference_has_cut(self) -> bool:
 
 
 class ReferenceAdwin(Adwin):
-    """Adwin that scans after every insert: this scan never sets ``_quiet``."""
+    """Adwin that scans after every insert: this scan never sets the safe interval."""
 
     _has_cut = reference_has_cut
 
@@ -401,6 +401,35 @@ def _stream(kind, rng, n):
             return [float(rng.random() < (p if i < run else q)) for i in range(n)]
         lo, hi = (0.0, 2.0 * p) if p < 0.5 else (2.0 * p - 1.0, 1.0)  # mean p
         return [rng.uniform(lo, hi) if i < run else rng.uniform(0.5 * q, q) for i in range(n)]
+    if kind == "slow_ramp":
+        # the mean ramps over the whole stream, so it walks out of each interval
+        a, b = rng.random(), rng.random()
+        bits = rng.random() < 0.5
+        values = []
+        for i in range(n):
+            m = a + (b - a) * i / n
+            r = min(m, 1.0 - m) * rng.random()
+            values.append(float(rng.random() < m) if bits else rng.uniform(m - r, m + r))
+        return values
+    if kind == "near_extremes":
+        # window means within 0.02 of 0 or 1, where the structural count c is smallest
+        values = []
+        while len(values) < n:
+            m = rng.uniform(0.0, 0.02)
+            m = m if rng.random() < 0.5 else 1.0 - m
+            r = min(m, 1.0 - m)
+            bits = rng.random() < 0.5
+            values += [float(rng.random() < m) if bits else rng.uniform(m - r, m + r)
+                       for _ in range(rng.randrange(100, 1500))]
+        return values[:n]
+    if kind == "stationary_slow_drift":
+        # a long stationary run, so one interval lasts long, then a slow drift
+        run = rng.randrange(n // 2, n - 200)
+        p, q = rng.random(), rng.random()
+        means = [p if i < run else p + (q - p) * (i - run) / (n - run) for i in range(n)]
+        if rng.random() < 0.5:
+            return [float(rng.random() < m) for m in means]
+        return [rng.uniform(m - min(m, 1.0 - m), m + min(m, 1.0 - m)) for m in means]
     # signed zeros and ones, with a step in the share of ones
     p = rng.random()
     q = rng.random()
@@ -430,6 +459,16 @@ def test_adwin_quiet_period_holds_at_the_largest_mean_gap():
         _assert_same_steps(kwargs, [first] * rng.randrange(20, 800) + [second] * 200)
 
 
+@pytest.mark.parametrize("kind", ["slow_ramp", "near_extremes", "stationary_slow_drift"])
+def test_adwin_safe_interval_matches_scan_after_every_insert(kind):
+    rng = random.Random(f"adwin-interval-{kind}")
+    for _ in range(8):
+        kwargs = _random_kwargs(rng)
+        values = _stream(kind, rng, 4000)
+        _assert_same_steps(kwargs, values,
+                           rng.randrange(len(values)) if rng.random() < 0.5 else None)
+
+
 def test_adwin_scans_at_most_a_third_of_stationary_updates():
     a = Adwin()
     scans = []
@@ -441,69 +480,29 @@ def test_adwin_scans_at_most_a_third_of_stationary_updates():
     assert len(scans) <= 10000 // 3
 
 
-def scan_without_pretest(self) -> bool:
-    """``Adwin._has_cut`` without its division-free pre-test."""
-    w, s, min_side = self.width, self.total, self.min_side
-    log_term = math.log(4.0 * w / self.delta)
-    log_w = log_term * w
-    q = min(1.0, max(s / w, 1.0 - s / w) + 2.0 * log_term / w + 1e-9)
-    eta = 1e-9 * (w + 2.0 * log_term)
-    eta_w = eta * w
-    c = math.ceil(log_w / (2.0 * w * (q * (1.0 + eta)) ** 2 + log_term)) - 1
-    quiet = c
-    n0, s0 = 0, 0.0
-    size = 1 << len(self._levels)
-    for buckets in reversed(self._levels):
-        size >>= 1
-        for bucket_sum in buckets:
-            n0 += size
-            s0 += bucket_sum
-            n1 = w - n0
-            if n1 < min_side and (not quiet or n1 + quiet <= c):
-                self._quiet = quiet
-                return False
-            if n0 < min_side:
-                continue
-            diff = s0 / n0 - (s - s0) / n1
-            bound = log_w / (2.0 * n0 * n1)
-            if quiet and n1 + quiet > c:
-                gap = abs(diff) + (quiet * q + eta_w / n0) / n1
-                if gap * gap < bound:
-                    continue
-                room = ((math.sqrt(bound) - abs(diff)) * n1 - eta_w / n0) / q
-                quiet = max(0, c - n1, math.ceil(room) - 1)
-            if n1 >= min_side and diff * diff >= bound:
-                return True
-    raise AssertionError("the scan reached no return")
-
-
-@pytest.mark.parametrize("kind", ["bernoulli", "real_ramps", "near_half", "stationary_step"])
-def test_adwin_pretest_only_skips_boundaries_the_scan_passes_over(kind):
-    # every scan decides the same and sets the same quiet count with and
-    # without the pre-test, so the pre-test is a pure shortcut
-    rng = random.Random(f"adwin-pretest-{kind}")
+@pytest.mark.parametrize("kind", ["bernoulli", "real_ramps", "near_half", "stationary_step",
+                                  "slow_ramp", "near_extremes", "stationary_slow_drift"])
+def test_adwin_safe_interval_only_passes_inserts_the_scan_would_pass(kind):
+    # at every insert that skips the scan, a scan of that window finds no cut
+    rng = random.Random(f"adwin-skip-{kind}")
+    skipped = 0
     for _ in range(6):
         a = Adwin(**_random_kwargs(rng))
-        scans = [0]
-
-        def both(scan=a._has_cut, a=a):
-            scans[0] += 1
-            quiet = a._quiet
-            want = (scan_without_pretest(a), a._quiet)
-            a._quiet = quiet
-            assert (scan(), a._quiet) == want
-            return want[0]
-
-        a._has_cut = both
+        scans = []
+        a._has_cut = lambda scan=a._has_cut: scans.append(1) or scan()
         for x in _stream(kind, rng, 2500):
+            before = len(scans)
             a.update(x)
-        assert scans[0] > 0
+            if len(scans) == before and a.width >= a.min_window:
+                assert not reference_has_cut(a)
+                skipped += 1
+    assert skipped > 0
 
 
-@pytest.mark.parametrize("p, most", [(0.5, 10000 // 12), (0.2, 10000 // 6)])
-def test_adwin_quiet_period_uses_the_window_mean(p, most):
-    # the mean-aware bounds lengthen the quiet period most where the mean is
-    # near 0.5 (a scan after every insert would make 9991 here)
+@pytest.mark.parametrize("p, most", [(0.5, 30), (0.2, 45)])
+def test_adwin_scans_rarely_on_a_stationary_stream(p, most):
+    # a scan after every insert would make 9991 here, and the quiet period
+    # that came before the safe interval made 600 at p = 0.5 and 1333 at 0.2
     a = Adwin()
     scans = []
     scan = a._has_cut

@@ -15,6 +15,7 @@ from driftstream.generators import (
     StaggerGenerator,
 )
 import driftstream.learners.tree as tree_module
+from driftstream.drift import Adwin
 from driftstream.learners import HoeffdingAdaptiveTree, HoeffdingTree, hoeffding_bound
 
 TWO_BINARY = FeatureSchema(
@@ -303,6 +304,31 @@ def test_hat_golden_runs(name):
 @pytest.mark.parametrize("name", sorted(HT_GOLDEN))
 def test_ht_golden_runs(name):
     _check_golden(HoeffdingTree, HT_GOLDEN[name])
+
+
+def test_hat_adwins_scan_rarely_on_drifting_sea(monkeypatch):
+    # every node on an instance's path feeds its ADWIN, and the safe interval
+    # for each window mean lets nearly all of those updates skip the cut scan
+    counts = {"scans": 0, "updates": 0}
+    scan, update = Adwin._has_cut, Adwin.update
+
+    def counted_scan(self):
+        counts["scans"] += 1
+        return scan(self)
+
+    def counted_update(self, x):
+        counts["updates"] += 1
+        return update(self, x)
+
+    monkeypatch.setattr(Adwin, "_has_cut", counted_scan)
+    monkeypatch.setattr(Adwin, "update", counted_update)
+    hat = HoeffdingAdaptiveTree(SeaGenerator.schema, seed=5)
+    events = []
+    for inst in _sea_switch_stream():
+        hat.partial_fit(inst)
+        events += hat.drain_events()
+    assert ("hat", "drift") in events
+    assert counts["scans"] < counts["updates"] / 50
 
 
 def test_hat_learn_step_computes_each_leaf_answer_once():
